@@ -14,57 +14,68 @@ import argparse
 import json
 import random
 import sys
+from dataclasses import replace
 from fractions import Fraction
 
 from . import double_fricke as df
 from . import fricke, sections, tree
 from .exact import (
+    DEGENERATE_CUBIC,
+    SURFACES,
     DomainError,
+    ProjectivePoint,
     QuadraticIrrational,
     format_rational,
-    normalize_projective,
+    line_point,
+    line_third_intersection,
+    parse_projective,
     parse_rational,
 )
 
 
-def _parse_triple(text: str) -> tuple[Fraction, ...]:
-    parts = [parse_rational(p) for p in text.split(",")]
-    if len(parts) != 3:
-        raise argparse.ArgumentTypeError(f"expected 3 comma-separated values: {text!r}")
-    return tuple(parts)
+def _parse_rationals(count: int):
+    """Parser of ``count`` comma-separated exact rationals."""
+
+    def parse(text: str) -> tuple[Fraction, ...]:
+        parts = tuple(parse_rational(p) for p in text.split(","))
+        if len(parts) != count:
+            raise argparse.ArgumentTypeError(f"expected {count} values: {text!r}")
+        return parts
+
+    return parse
 
 
-def _parse_pair(text: str) -> tuple[Fraction, Fraction]:
-    parts = [parse_rational(p) for p in text.split(",")]
-    if len(parts) != 2:
-        raise argparse.ArgumentTypeError(f"expected 2 comma-separated values: {text!r}")
-    return (parts[0], parts[1])
+def _parse_p2(arity: int):
+    """Parser of a projective point "[p:q:...]" with ``arity`` coordinates."""
+
+    def parse(text: str) -> ProjectivePoint:
+        point = parse_projective(text if ":" in text else text.replace(",", ":"))
+        if len(point.coords) != arity:
+            raise argparse.ArgumentTypeError(f"expected {arity} coordinates: {text!r}")
+        return point
+
+    return parse
 
 
-def _parse_p2(text: str):
-    body = text.strip().lstrip("[").rstrip("]")
-    sep = ":" if ":" in body else ","
-    return normalize_projective([parse_rational(p) for p in body.split(sep)])
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value <= 0:
+        raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
+    return value
 
 
 def _ser(value):
     """Serialize exact values recursively into JSON-friendly forms."""
     if isinstance(value, (int, Fraction)):
         return format_rational(value)
-    if isinstance(value, QuadraticIrrational):
+    if isinstance(value, (QuadraticIrrational, ProjectivePoint)):
         return str(value)
-    if isinstance(value, fricke.FrickePoint):
+    if isinstance(value, fricke.SurfacePoint):
         return [_ser(c) for c in value.coords]
-    if isinstance(value, df.F2Point):
-        return [_ser(c) for c in value.coords]
-    if isinstance(value, (sections.SectionPoint, df.F2SectionPoint)):
+    if isinstance(value, sections.SectionPoint):
         return [_ser(value.x), _ser(value.z)]
-    if isinstance(value, tree.CanonicalTriple):
-        return list(value.values)
     if isinstance(value, (tuple, list)):
         return [_ser(v) for v in value]
-    if hasattr(value, "coords") and hasattr(value, "is_at_infinity"):
-        return str(value)  # ProjectivePoint
     return value
 
 
@@ -88,56 +99,25 @@ def _emit(payload, fmt: str) -> None:
 
 def _tree_dot(nodes: list[tree.TreeNode]) -> str:
     lines = ["digraph markov {"]
-    index = {}
     for i, node in enumerate(nodes):
-        index[node.triple.values] = i
         label = ",".join(str(v) for v in node.triple.values)
         lines.append(f'  n{i} [label="({label})"];')
-    # re-derive parent edges from the canonical structure: each non-root
-    # node was emitted from some frontier triple one level up
-    by_depth: dict[int, list[tree.TreeNode]] = {}
-    for node in nodes:
-        by_depth.setdefault(node.depth, []).append(node)
-    for depth in sorted(by_depth):
-        if depth == 0:
-            continue
-        parents = {n.triple.values for n in by_depth[depth - 1]}
-        for node in by_depth[depth]:
-            for parent in sorted(parents):
-                children = {
-                    tuple(sorted(child))
-                    for child, _ in tree._children(node.triple.surface, parent)
-                }
-                if node.triple.values in children:
-                    i, j = index[parent], index[node.triple.values]
-                    lines.append(f'  n{i} -> n{j} [label="{node.via}"];')
-                    break
+    for i, node in enumerate(nodes):
+        if node.parent is not None:
+            lines.append(f'  n{node.parent} -> n{i} [label="{node.via}"];')
     lines.append("}")
     return "\n".join(lines)
 
 
-def _frame(args) -> sections.SectionFrame | df.F2SectionFrame:
-    m0, n0, k0 = args.frame
-    if args.surface == "double":
-        return df.F2SectionFrame(m0, n0, k0)
-    return sections.SectionFrame(m0, n0, k0)
-
-
-def _section_point(frame, pair):
-    if isinstance(frame, df.F2SectionFrame):
-        return df.F2SectionPoint(pair[0], pair[1], frame)
-    return sections.SectionPoint(pair[0], pair[1], frame)
-
-
-def _surface_point(surface: str, triple, sigma=Fraction(0)):
-    if surface == "double":
-        return df.F2Point(*triple)
-    return fricke.FrickePoint(*triple, surface=fricke.FrickeSurface(Fraction(sigma)))
+def _chart(surface: str, P: Fraction, Q: Fraction) -> fricke.SurfacePoint:
+    """The affine chart of the surface: Fricke's, or its coordinatewise square."""
+    return {"fricke": fricke.param_affine, "double": df.f2_param_affine}[surface](P, Q)
 
 
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="frickelab", description=__doc__)
     top.add_argument("--format", choices=("json", "dot", "plain"), default="json")
+    top.set_defaults(surface="fricke")  # dihedral, ta-power, convergent: Fricke sections
     sub = top.add_subparsers(dest="command", required=True)
 
     def surface_opt(p, default="fricke"):
@@ -146,16 +126,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("compose", help="secant composition of two surface points")
     surface_opt(p)
     p.add_argument("--sigma", type=parse_rational, default=Fraction(0))
-    p.add_argument("p", type=_parse_triple)
-    p.add_argument("q", type=_parse_triple)
+    p.add_argument("p", type=_parse_rationals(3))
+    p.add_argument("q", type=_parse_rationals(3))
 
     p = sub.add_parser("star", help="(1,1,1) o (p o q) on the Fricke surface")
-    p.add_argument("p", type=_parse_triple)
-    p.add_argument("q", type=_parse_triple)
+    p.add_argument("p", type=_parse_rationals(3))
+    p.add_argument("q", type=_parse_rationals(3))
 
     p = sub.add_parser("tree", help="Vieta tree enumeration")
     surface_opt(p)
-    p.add_argument("--root", type=_parse_triple, default=(1, 1, 1))
+    p.add_argument("--root", type=_parse_rationals(3), default=(1, 1, 1))
     p.add_argument("--depth", type=int)
     p.add_argument("--max-component", type=int)
 
@@ -163,27 +143,27 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-component", type=int, required=True)
 
     p = sub.add_parser("negative-tree", help="F^2 tree from (-n, 0, n)")
-    p.add_argument("--n", type=int, default=1)
+    p.add_argument("--n", type=_positive_int, default=1)
     p.add_argument("--depth", type=int, required=True)
 
     for name in ("section-add", "section-double", "section-inverse"):
         p = sub.add_parser(name, help=f"{name.split('-')[1]} in the section group")
         surface_opt(p)
-        p.add_argument("--frame", type=_parse_triple, required=True)
-        p.add_argument("p", type=_parse_pair)
+        p.add_argument("--frame", type=_parse_rationals(3), required=True)
+        p.add_argument("p", type=_parse_rationals(2))
         if name == "section-add":
-            p.add_argument("q", type=_parse_pair)
+            p.add_argument("q", type=_parse_rationals(2))
 
     p = sub.add_parser("dihedral", help="A/TA/C/TC/B/T transform of a section point")
-    p.add_argument("--frame", type=_parse_triple, required=True)
+    p.add_argument("--frame", type=_parse_rationals(3), required=True)
     p.add_argument("--map", choices=("A", "TA", "C", "TC", "B", "T"), required=True)
-    p.add_argument("p", type=_parse_pair)
+    p.add_argument("p", type=_parse_rationals(2))
 
     p = sub.add_parser("ta-power", help="closed-form r-th power of TA or TC")
-    p.add_argument("--frame", type=_parse_triple, required=True)
+    p.add_argument("--frame", type=_parse_rationals(3), required=True)
     p.add_argument("--r", type=int, required=True)
     p.add_argument("--family", choices=("TA", "TC"), default="TA")
-    p.add_argument("p", type=_parse_pair)
+    p.add_argument("p", type=_parse_rationals(2))
 
     p = sub.add_parser("chebyshev", help="b_r(n0)")
     p.add_argument("--r", type=int, required=True)
@@ -191,11 +171,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("infinity", help="section points at infinity")
     surface_opt(p)
-    p.add_argument("--frame", type=_parse_triple, required=True)
+    p.add_argument("--frame", type=_parse_rationals(3), required=True)
 
     p = sub.add_parser("convergent", help="minus-continued-fraction convergent b_r/b_{r-1}")
     p.add_argument("--r", type=int, required=True)
-    p.add_argument("--frame", type=_parse_triple, required=True)
+    p.add_argument("--frame", type=_parse_rationals(3), required=True)
 
     p = sub.add_parser("param", help="affine chart (P,Q) -> surface point")
     surface_opt(p)
@@ -204,21 +184,21 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("phi", help="plane -> projectivized surface")
     surface_opt(p)
-    p.add_argument("p", type=_parse_p2)
+    p.add_argument("p", type=_parse_p2(3))
 
     p = sub.add_parser("psi", help="projectivized surface -> plane")
     surface_opt(p)
-    p.add_argument("p", type=_parse_p2)
+    p.add_argument("p", type=_parse_p2(4))
 
     p = sub.add_parser("p2-viete", help="transferred Viete generator on the plane")
     surface_opt(p)
     p.add_argument("--generator", choices=("L", "R"), required=True)
-    p.add_argument("p", type=_parse_p2)
+    p.add_argument("p", type=_parse_p2(3))
 
     p = sub.add_parser("p2-compose", help="transferred composition on the plane")
     surface_opt(p)
-    p.add_argument("p", type=_parse_p2)
-    p.add_argument("q", type=_parse_p2)
+    p.add_argument("p", type=_parse_p2(3))
+    p.add_argument("q", type=_parse_p2(3))
 
     p = sub.add_parser("check", help="seeded randomized property check")
     p.add_argument("--seed", type=int, default=0)
@@ -229,8 +209,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _run_check(seed: int, pairs: int) -> dict:
     """Randomized oracle-equivalence check on both surfaces."""
-    from .exact import DEGENERATE_CUBIC, line_point, line_third_intersection
-
     rng = random.Random(seed)
 
     def rand_rat():
@@ -244,134 +222,128 @@ def _run_check(seed: int, pairs: int) -> dict:
         p2, q2 = rand_rat(), rand_rat()
         if (p1, q1) == (p2, q2):
             continue
-        a = fricke.param_affine(p1, q1)
-        b = fricke.param_affine(p2, q2)
-        res = fricke.compose(a, b)
-        oracle = line_third_intersection(a.coords, b.coords, "fricke")
-        if isinstance(res, fricke.Finite):
-            assert oracle is not DEGENERATE_CUBIC
-            assert line_point(a.coords, b.coords, oracle.t) == res.point.coords
-        a2, b2 = df.f2_param_affine(p1, q1), df.f2_param_affine(p2, q2)
-        res2 = df.f2_compose(a2, b2)
-        oracle2 = line_third_intersection(a2.coords, b2.coords, "double")
-        if isinstance(res2, fricke.Finite):
-            assert oracle2 is not DEGENERATE_CUBIC
-            assert line_point(a2.coords, b2.coords, oracle2.t) == res2.point.coords
+        for surface in SURFACES:
+            a, b = _chart(surface, p1, q1), _chart(surface, p2, q2)
+            if a == b:  # (P, Q) and (-P, -Q) give one double-surface point
+                continue
+            res = fricke.compose(a, b)
+            oracle = line_third_intersection(a.coords, b.coords, surface)
+            if isinstance(res, fricke.Finite):
+                assert oracle is not DEGENERATE_CUBIC
+                assert line_point(a.coords, b.coords, oracle.t) == res.point.coords
         checked += 1
     return {"result": "ok", "seed": seed, "pairs-checked": checked}
 
 
+# -- one handler per subcommand: args -> JSON payload, or DOT text ------------
+
+
+def _compose(args) -> dict:
+    surface = replace(SURFACES[args.surface], sigma=args.sigma)
+    p = fricke.SurfacePoint(*args.p, surface)
+    q = fricke.SurfacePoint(*args.q, surface)
+    return _compose_payload(fricke.compose(p, q))
+
+
+def _star(args) -> dict:
+    p, q = fricke.FrickePoint(*args.p), fricke.FrickePoint(*args.q)
+    return _compose_payload(fricke.star(p, q))
+
+
+def _tree(args):
+    root = tree.canonical(args.root, args.surface)
+    nodes = tree.generate(
+        args.surface, root, depth=args.depth, max_component=args.max_component
+    )
+    if args.format == "dot":
+        return _tree_dot(nodes)
+    return {"result": [list(n.triple.values) for n in nodes]}
+
+
+def _frobenius(args) -> dict:
+    report = tree.frobenius_scan(args.max_component)
+    duplicates = {
+        str(key): [list(t.values) for t in ts] for key, ts in sorted(report.duplicates.items())
+    }
+    return {
+        "result": {
+            "max-component": report.max_component,
+            "triples": len(report.by_largest),
+            "duplicates": duplicates,
+        }
+    }
+
+
+def _frame(args) -> sections.SectionFrame:
+    return sections.SectionFrame(*args.frame, SURFACES[args.surface])
+
+
+def _section(args) -> dict:
+    """The section laws and transforms of one point (two for section-add)."""
+    frame = _frame(args)
+    p = sections.SectionPoint(*args.p, frame)
+    if args.command == "section-add":
+        out = sections.quadric_add(frame, p, sections.SectionPoint(*args.q, frame))
+    elif args.command == "section-double":
+        out = sections.quadric_double(frame, p)
+    elif args.command == "section-inverse":
+        out = sections.quadric_inverse(frame, p)
+    elif args.command == "dihedral":
+        out = sections.dihedral(frame, p, args.map)
+    else:
+        out = sections.ta_power(frame, p, args.r, args.family)
+    return {"result": _ser(out)}
+
+
+def _transfer(args) -> dict:
+    surface = SURFACES[args.surface]
+    if args.command == "phi":
+        out = fricke.phi(args.p, surface)
+    elif args.command == "psi":
+        out = fricke.psi(args.p)
+    elif args.command == "p2-viete":
+        out = fricke.p2_viete(args.p, args.generator, surface)
+    else:
+        out = fricke.p2_compose(args.p, args.q, surface)
+    return {"result": str(out)}
+
+
+HANDLERS = {
+    "compose": _compose,
+    "star": _star,
+    "tree": _tree,
+    "frobenius": _frobenius,
+    "negative-tree": lambda args: {
+        "result": [list(t) for t in df.negative_tree(args.n, args.depth)]
+    },
+    "section-add": _section,
+    "section-double": _section,
+    "section-inverse": _section,
+    "dihedral": _section,
+    "ta-power": _section,
+    "chebyshev": lambda args: {"result": _ser(sections.chebyshev_b(args.r, args.n0))},
+    "infinity": lambda args: {"result": _ser(sections.infinity_points(_frame(args)))},
+    "convergent": lambda args: {"result": _ser(sections.cf_convergent(_frame(args), args.r))},
+    "param": lambda args: {"result": _ser(_chart(args.surface, args.P, args.Q))},
+    "phi": _transfer,
+    "psi": _transfer,
+    "p2-viete": _transfer,
+    "p2-compose": _transfer,
+    "check": lambda args: _run_check(args.seed, args.pairs),
+}
+
+
 def run(argv: list[str] | None = None) -> int:
-    top = build_parser()
-    args = top.parse_args(argv)
-    cmd = args.command
+    args = build_parser().parse_args(argv)
     try:
-        if cmd == "compose":
-            if args.surface == "double":
-                result = df.f2_compose(df.F2Point(*args.p), df.F2Point(*args.q))
-            else:
-                surf = fricke.FrickeSurface(args.sigma)
-                result = fricke.compose(
-                    fricke.FrickePoint(*args.p, surface=surf),
-                    fricke.FrickePoint(*args.q, surface=surf),
-                )
-            _emit(_compose_payload(result), args.format)
-        elif cmd == "star":
-            result = fricke.star(fricke.FrickePoint(*args.p), fricke.FrickePoint(*args.q))
-            _emit(_compose_payload(result), args.format)
-        elif cmd == "tree":
-            root = tree.canonical(args.root, args.surface)
-            nodes = tree.generate(
-                args.surface, root, depth=args.depth, max_component=args.max_component
-            )
-            if args.format == "dot":
-                print(_tree_dot(nodes))
-            else:
-                _emit({"result": [list(n.triple.values) for n in nodes]}, args.format)
-        elif cmd == "frobenius":
-            report = tree.frobenius_scan(args.max_component)
-            _emit(
-                {
-                    "result": {
-                        "max-component": report.max_component,
-                        "triples": len(report.by_largest),
-                        "duplicates": {
-                            str(key): [list(t.values) for t in ts]
-                            for key, ts in sorted(report.duplicates.items())
-                        },
-                    }
-                },
-                args.format,
-            )
-        elif cmd == "negative-tree":
-            triples = df.negative_tree(args.n, args.depth)
-            _emit({"result": [list(t) for t in triples]}, args.format)
-        elif cmd in ("section-add", "section-double", "section-inverse"):
-            frame = _frame(args)
-            p = _section_point(frame, args.p)
-            if cmd == "section-add":
-                q = _section_point(frame, args.q)
-                if isinstance(frame, df.F2SectionFrame):
-                    out = df.f2_quadric_add(frame, p, q)
-                else:
-                    out = sections.quadric_add(frame, p, q)
-            elif cmd == "section-double":
-                if isinstance(frame, df.F2SectionFrame):
-                    out = df.f2_quadric_double(frame, p)
-                else:
-                    out = sections.quadric_double(frame, p)
-            else:
-                if isinstance(frame, df.F2SectionFrame):
-                    out = df.f2_quadric_inverse(frame, p)
-                else:
-                    out = sections.quadric_inverse(frame, p)
-            _emit({"result": _ser(out)}, args.format)
-        elif cmd == "dihedral":
-            frame = sections.SectionFrame(*args.frame)
-            p = sections.SectionPoint(args.p[0], args.p[1], frame)
-            _emit({"result": _ser(sections.dihedral(frame, p, args.map))}, args.format)
-        elif cmd == "ta-power":
-            frame = sections.SectionFrame(*args.frame)
-            p = sections.SectionPoint(args.p[0], args.p[1], frame)
-            out = sections.ta_power(frame, p, args.r, args.family)
-            _emit({"result": _ser(out)}, args.format)
-        elif cmd == "chebyshev":
-            _emit({"result": _ser(sections.chebyshev_b(args.r, args.n0))}, args.format)
-        elif cmd == "infinity":
-            frame = _frame(args)
-            if isinstance(frame, df.F2SectionFrame):
-                pts = df.f2_infinity_points(frame)
-            else:
-                pts = sections.infinity_points(frame)
-            _emit({"result": [_ser(p) for p in pts]}, args.format)
-        elif cmd == "convergent":
-            frame = sections.SectionFrame(*args.frame)
-            _emit({"result": _ser(sections.cf_convergent(frame, args.r))}, args.format)
-        elif cmd == "param":
-            if args.surface == "double":
-                out = df.f2_param_affine(args.P, args.Q)
-            else:
-                out = fricke.param_affine(args.P, args.Q)
-            _emit({"result": _ser(out)}, args.format)
-        elif cmd == "phi":
-            fn = df.f2_phi if args.surface == "double" else fricke.phi
-            _emit({"result": str(fn(args.p))}, args.format)
-        elif cmd == "psi":
-            fn = df.f2_psi if args.surface == "double" else fricke.psi
-            _emit({"result": str(fn(args.p))}, args.format)
-        elif cmd == "p2-viete":
-            fn = df.f2_p2_viete if args.surface == "double" else fricke.p2_viete
-            _emit({"result": str(fn(args.p, args.generator))}, args.format)
-        elif cmd == "p2-compose":
-            fn = df.f2_p2_compose if args.surface == "double" else fricke.p2_compose
-            _emit({"result": str(fn(args.p, args.q))}, args.format)
-        elif cmd == "check":
-            _emit(_run_check(args.seed, args.pairs), args.format)
-        else:  # pragma: no cover - argparse enforces the choices
-            top.error(f"unknown subcommand {cmd!r}")
+        out = HANDLERS[args.command](args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if isinstance(out, str):
+        print(out)
+    else:
+        _emit(out, args.format)
     return 0
 
 

@@ -1,39 +1,44 @@
 """The double Fricke surface (x + y + z)^2 = 9xyz.
 
 Its positive integral points are exactly the coordinatewise squares of
-Markov triples.  The module mirrors the Fricke machinery: Nielsen-style
-generators, the secant composition, the plane transfer, the negative
-solution trees, and the group law on the sections y = n0.
+Markov triples.  Its secant composition, plane transfers and section
+group law are the generic laws of ``fricke`` and ``sections`` read with
+the ``DOUBLE`` record; the ``f2_*`` and ``F2*`` names bind them to it.
+This module adds what is particular to the paper: the Nielsen-style
+generators, the squared-triple correspondence, the squared chart, and
+the negative solution trees.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
+from functools import partial
 
-from .exact import (
-    AT_INFINITY,
-    DomainError,
-    ProjectivePoint,
-    Rat,
-    Slope,
-    ZeroArgument,
-    normalize_projective,
-    slope_between,
-    sqrt_exact,
-    surface_defect,
-)
+from .exact import DOUBLE, DomainError, Rat, Surface, surface_defect
 from .fricke import (
-    BasePointUndefined,
-    ComposeResult,
-    Finite,
-    Infinite,
     OffSurface,
-    Undefined,
-    UNDEFINED_COINCIDENT,
-    UNDEFINED_ORIGIN,
-    UndefinedImage,
+    SurfacePoint,
+    compose,
+    p2_compose,
+    p2_involution,
+    p2_viete,
+    param_affine,
+    phi,
+    psi,
+    viete,
 )
+from .sections import (  # OffSection and DenominatorVanishes are re-exported
+    DenominatorVanishes,
+    OffSection,
+    SectionFrame,
+    SectionPoint,
+    infinity_points,
+    quadric_add,
+    quadric_double,
+    quadric_inverse,
+    tangent_slope,
+)
+from .tree import canonical, generate
 
 
 class NotASquare(DomainError):
@@ -41,27 +46,31 @@ class NotASquare(DomainError):
 
 
 @dataclass(frozen=True, slots=True)
-class F2Point:
+class F2Point(SurfacePoint):
     """An affine point validated against (x+y+z)^2 = 9xyz exactly."""
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
+    surface: Surface = DOUBLE
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if surface_defect("double", (self.x, self.y, self.z)) != 0:
-            raise OffSurface(f"({self.x}, {self.y}, {self.z}) is not on the surface")
 
-    @property
-    def coords(self) -> tuple[Fraction, Fraction, Fraction]:
-        return (self.x, self.y, self.z)
+@dataclass(frozen=True, slots=True)
+class F2SectionFrame(SectionFrame):
+    """Section plane y = n0 of the double surface with base point (m0, k0)."""
 
-    @property
-    def is_origin(self) -> bool:
-        return self.x == self.y == self.z == 0
+    surface: Surface = DOUBLE
+
+
+F2SectionPoint = SectionPoint
+f2_compose = compose
+f2_phi = partial(phi, surface=DOUBLE)
+f2_psi = psi
+f2_p2_viete = partial(p2_viete, surface=DOUBLE)
+f2_p2_involution = partial(p2_involution, surface=DOUBLE)
+f2_p2_compose = partial(p2_compose, surface=DOUBLE)
+f2_tangent_slope = tangent_slope
+f2_quadric_add = quadric_add
+f2_quadric_double = quadric_double
+f2_quadric_inverse = quadric_inverse
+f2_infinity_points = infinity_points
 
 
 # -- generators and the squared-triple correspondence -------------------------
@@ -69,12 +78,10 @@ class F2Point:
 
 def nielsen(p: F2Point, generator: str) -> F2Point:
     """(x,y,z) -> (x, 9xy-2x-2y-z, y), or the shifted variant on (y,z)."""
-    x, y, z = p.coords
-    if generator == "first":
-        return F2Point(x, 9 * x * y - 2 * x - 2 * y - z, y)
-    if generator == "second":
-        return F2Point(y, 9 * y * z - 2 * y - 2 * z - x, z)
-    raise ValueError(f"generator must be 'first' or 'second', got {generator!r}")
+    moves = {"first": "L", "second": "R"}
+    if generator not in moves:
+        raise ValueError(f"generator must be 'first' or 'second', got {generator!r}")
+    return viete(p, moves[generator])
 
 
 def square_lift(triple: tuple[int, int, int]) -> F2Point:
@@ -106,48 +113,15 @@ def sqrt_descend(p: F2Point) -> tuple[int, int, int]:
     return (m, n, k)
 
 
-# -- secant composition --------------------------------------------------------
-
-
-def f2_compose(p: F2Point, q: F2Point) -> ComposeResult:
-    """Third intersection of the line pq with the double surface."""
-    (a, b, c), (m, n, k) = p.coords, q.coords
-    if (a, b, c) == (m, n, k):
-        return Undefined(UNDEFINED_COINCIDENT)
-    if p.is_origin or q.is_origin:
-        return Undefined(UNDEFINED_ORIGIN)
-    da, db, dc = a - m, b - n, c - k
-    if da and db and dc:
-        w = 2 * (a + b + c) * (m + n + k)
-        x = (9 * (a * n * k + b * c * m) - w) / (9 * db * dc)
-        y = (9 * (b * m * k + a * c * n) - w) / (9 * da * dc)
-        z = (9 * (c * m * n + a * b * k) - w) / (9 * da * db)
-        return Finite(F2Point(x, y, z))
-    return Infinite(normalize_projective([da, db, dc, 0]))
-
-
 def f2_param_affine(P: Rat, Q: Rat) -> F2Point:
     """Chart (P,Q) -> ((P^2+Q^2+1)^2/9Q^2, ./9P^2, ./9P^2Q^2).
 
     Coordinatewise square of the Fricke chart at the same (P,Q).
     """
-    P, Q = Fraction(P), Fraction(Q)
-    if P == 0 or Q == 0:
-        raise ZeroArgument("chart parameters must be nonzero")
-    s = (P * P + Q * Q + 1) ** 2
-    return F2Point(s / (9 * Q * Q), s / (9 * P * P), s / (9 * P * P * Q * Q))
+    return F2Point(*(c * c for c in param_affine(P, Q).coords))
 
 
 # -- negative solution trees ---------------------------------------------------
-
-
-def _vieta_children(t: tuple[int, int, int]) -> list[tuple[tuple[int, int, int], str]]:
-    a, b, c = t
-    return [
-        ((9 * b * c - 2 * b - 2 * c - a, b, c), "x"),
-        ((a, 9 * a * c - 2 * a - 2 * c - b, c), "y"),
-        ((a, b, 9 * a * b - 2 * a - 2 * b - c), "z"),
-    ]
 
 
 def negative_tree(n: int, depth: int) -> list[tuple[int, int, int]]:
@@ -159,210 +133,5 @@ def negative_tree(n: int, depth: int) -> list[tuple[int, int, int]]:
     """
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    root = tuple(sorted((-n, 0, n)))
-    seen = {root}
-    frontier = [root]
-    for _ in range(depth):
-        nxt = []
-        for t in frontier:
-            for child, _label in _vieta_children(t):
-                canon = tuple(sorted(child))
-                if canon not in seen:
-                    if surface_defect("double", canon) != 0:
-                        raise AssertionError(f"Vieta move left the surface: {canon}")
-                    seen.add(canon)
-                    nxt.append(canon)
-        frontier = sorted(nxt)
-    return sorted(seen)
-
-
-# -- transfers to the projective plane ---------------------------------------
-
-
-def f2_phi(p: ProjectivePoint) -> ProjectivePoint:
-    """[p:q:r] -> [p*(p+q+r)^2 : q*(p+q+r)^2 : r*(p+q+r)^2 : 9pqr]."""
-    a, b, c = p.coords
-    s = (a + b + c) ** 2
-    return normalize_projective([a * s, b * s, c * s, 9 * a * b * c])
-
-
-def f2_psi(p: ProjectivePoint) -> ProjectivePoint:
-    x, y, z, _s = p.coords
-    return normalize_projective([x, y, z])
-
-
-def f2_p2_viete(p: ProjectivePoint, generator: str) -> ProjectivePoint:
-    """L: [p:q:r] -> [pr : (p+q)^2 : qr], R: [qp : (q+r)^2 : pr]."""
-    a, b, c = p.coords
-    if generator == "L":
-        image = [a * c, (a + b) ** 2, b * c]
-    elif generator == "R":
-        image = [b * a, (b + c) ** 2, a * c]
-    else:
-        raise ValueError(f"generator must be 'L' or 'R', got {generator!r}")
-    if not any(image):
-        raise BasePointUndefined(f"{p} is a base point of the transferred map")
-    return normalize_projective(image)
-
-
-def f2_p2_involution(p: ProjectivePoint, which: int) -> ProjectivePoint:
-    a, b, c = p.coords
-    if which == 1:
-        image = [a * c, b * c, (a + b) ** 2]
-    elif which == 2:
-        image = [(b + c) ** 2, a * b, a * c]
-    elif which == 3:
-        image = [a * b, (a + c) ** 2, c * b]
-    else:
-        raise ValueError("which must be 1, 2 or 3")
-    if not any(image):
-        raise UndefinedImage(f"involution {which} is undefined at {p}")
-    return normalize_projective(image)
-
-
-def f2_p2_compose(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
-    """The secant composition conjugated onto the plane through f2_phi.
-
-    Same shape as the Fricke transfer, with squared-sum kernels: the
-    Fricke factor u^2 + v^2 becomes (u + v)^2 here.
-    """
-    (a, b, c), (m, n, k) = p.coords, q.coords
-    s1 = (a + b + c) ** 2
-    s2 = (m + n + k) ** 2
-    u, v, w = a * n - b * m, a * k - c * m, b * k - c * n
-    image = [
-        (s1 * k * n - s2 * b * c) * (u + v) ** 2,
-        (s1 * k * m - s2 * a * c) * (u - w) ** 2,
-        (s1 * m * n - s2 * b * a) * (v + w) ** 2,
-    ]
-    if not any(image):
-        raise UndefinedImage("transferred composition vanishes identically here")
-    return normalize_projective(image)
-
-
-# -- sections y = n0 -----------------------------------------------------------
-
-
-class OffSection(DomainError):
-    pass
-
-
-class DenominatorVanishes(DomainError):
-    pass
-
-
-@dataclass(frozen=True, slots=True)
-class F2SectionFrame:
-    """Section plane y = n0 of the double surface with base point (m0, k0)."""
-
-    m0: Fraction
-    n0: Fraction
-    k0: Fraction
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "m0", Fraction(self.m0))
-        object.__setattr__(self, "n0", Fraction(self.n0))
-        object.__setattr__(self, "k0", Fraction(self.k0))
-        if surface_defect("double", (self.m0, self.n0, self.k0)) != 0:
-            raise OffSection(f"({self.m0}, {self.n0}, {self.k0}) is not on the surface")
-        if self.n0 == 0:
-            raise OffSection("n0 = 0 degenerates the section")
-
-    @property
-    def origin(self) -> "F2SectionPoint":
-        return F2SectionPoint(self.m0, self.k0, self)
-
-    def contains(self, x: Rat, z: Rat) -> bool:
-        return surface_defect("double", (x, self.n0, z)) == 0
-
-
-@dataclass(frozen=True, slots=True)
-class F2SectionPoint:
-    x: Fraction
-    z: Fraction
-    frame: F2SectionFrame
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if not self.frame.contains(self.x, self.z):
-            raise OffSection(f"({self.x}, {self.z}) is not on the section")
-
-    @property
-    def xy(self) -> tuple[Fraction, Fraction]:
-        return (self.x, self.z)
-
-
-def f2_tangent_slope(frame: F2SectionFrame, p: F2SectionPoint) -> Slope:
-    """Slope of the tangent to (x + n0 + z)^2 = 9*x*n0*z at p."""
-    n0 = frame.n0
-    s = p.x + n0 + p.z
-    num = 2 * s - 9 * n0 * p.z
-    den = 2 * s - 9 * n0 * p.x
-    if den == 0:
-        return AT_INFINITY
-    return -num / den
-
-
-def _f2_chord_add(frame: F2SectionFrame, mu: Slope) -> F2SectionPoint:
-    """Second intersection of the line through O with slope mu.
-
-    From the substitution u := x - m0: the quadratic in u has u = 0 as
-    one root, so the other is read off the linear coefficient.
-    """
-    m0, n0, k0 = frame.m0, frame.n0, frame.k0
-    if mu is AT_INFINITY:
-        return F2SectionPoint(m0, 9 * n0 * m0 - 2 * m0 - 2 * n0 - k0, frame)
-    den = (mu + 1) ** 2 - 9 * n0 * mu
-    if den == 0:
-        raise DenominatorVanishes("chord parallel to an asymptote; sum at infinity")
-    u = (9 * n0 * k0 + 9 * n0 * m0 * mu - 2 * (mu + 1) * (m0 + n0 + k0)) / den
-    return F2SectionPoint(m0 + u, k0 + mu * u, frame)
-
-
-def f2_quadric_add(
-    frame: F2SectionFrame, p1: F2SectionPoint, p2: F2SectionPoint
-) -> F2SectionPoint:
-    """The conic group law on the section with neutral element O."""
-    if p1.xy == p2.xy:
-        return f2_quadric_double(frame, p1)
-    return _f2_chord_add(frame, slope_between(p1.xy, p2.xy))
-
-
-def f2_quadric_double(frame: F2SectionFrame, p: F2SectionPoint) -> F2SectionPoint:
-    return _f2_chord_add(frame, f2_tangent_slope(frame, p))
-
-
-def f2_quadric_inverse(frame: F2SectionFrame, p: F2SectionPoint) -> F2SectionPoint:
-    """The unique S with P + S = O: second hit of the line through P
-    parallel to the tangent at O."""
-    n0 = frame.n0
-    mu = f2_tangent_slope(frame, frame.origin)
-    if mu is AT_INFINITY:
-        swapped = F2SectionFrame(frame.k0, n0, frame.m0)
-        mirror = f2_quadric_inverse(swapped, F2SectionPoint(p.z, p.x, swapped))
-        return F2SectionPoint(mirror.z, mirror.x, frame)
-    # along z = mu*x + w the section cuts out
-    #   ((1+mu)x + n0 + w)^2 - 9*n0*x*(mu*x + w) = 0
-    # with known root x1; the sum of the roots gives the other
-    w = p.z - mu * p.x
-    lead = (1 + mu) ** 2 - 9 * n0 * mu
-    if lead == 0:
-        raise DenominatorVanishes("tangent at O parallel to an asymptote")
-    lin = 2 * (1 + mu) * (n0 + w) - 9 * n0 * w
-    x = -lin / lead - p.x
-    z = mu * (x - p.x) + p.z
-    return F2SectionPoint(x, z, frame)
-
-
-def f2_infinity_points(frame: F2SectionFrame):
-    """The two slopes at infinity: roots of t^2 + (2 - 9*n0)*t + 1 = 0.
-
-    Their sum is 9*n0 - 2 and their product is 1.
-    """
-    n0 = frame.n0
-    disc = (9 * n0 - 2) ** 2 - 4
-    root = sqrt_exact(disc)
-    lo = ((9 * n0 - 2) - root) * Fraction(1, 2)
-    hi = ((9 * n0 - 2) + root) * Fraction(1, 2)
-    return (lo, hi)
+    nodes = generate("double", canonical((-n, 0, n), "double"), depth=depth)
+    return sorted(node.triple.values for node in nodes)

@@ -48,8 +48,14 @@ class ZeroArgument(DomainError):
 
 
 def parse_rational(text: str) -> Fraction:
-    """Parse the "num/den" wire form (den optional) into a Fraction."""
-    return Fraction(text.strip())
+    """Parse the "num/den" wire form (den optional) into a Fraction.
+
+    Raises ValueError on malformed text, a zero denominator included.
+    """
+    try:
+        return Fraction(text.strip())
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Rat) -> str:
@@ -112,8 +118,9 @@ def normalize_projective(values: Sequence[Rat]) -> ProjectivePoint:
 
 
 def parse_projective(text: str) -> ProjectivePoint:
+    """Parse "[p:q:...]" (brackets optional) into a normalized point."""
     body = text.strip().lstrip("[").rstrip("]")
-    return normalize_projective([Fraction(part) for part in body.split(":")])
+    return normalize_projective([parse_rational(part) for part in body.split(":")])
 
 
 # ---------------------------------------------------------------------------
@@ -288,6 +295,53 @@ def slope_between(p1: tuple[Rat, Rat], p2: tuple[Rat, Rat]) -> Slope:
 
 
 # ---------------------------------------------------------------------------
+# the surfaces
+
+
+@dataclass(frozen=True, slots=True)
+class Surface:
+    """The cubic surface Q(x, y, z) - kappa*x*y*z = sigma.
+
+    Q = x^2 + y^2 + z^2 + 2*cross*(xy + yz + zx) with cross 0 or 1: the
+    sum of squares of the Fricke surface, or the squared sum (x + y + z)^2
+    of the double surface.  The secant, Vieta, plane-transfer and section
+    laws are all derived from this record.
+    """
+
+    name: str
+    kappa: int
+    cross: int
+    sigma: Fraction = Fraction(0)
+
+    def quad(self, x: Rat, y: Rat, z: Rat = 0):
+        """Q(x, y, z)."""
+        if self.cross:
+            return (x + y + z) ** 2
+        return x * x + y * y + z * z
+
+    def bilinear(self, p: Sequence[Rat], q: Sequence[Rat]):
+        """The symmetric bilinear form B of Q, with B(p, p) = Q(p)."""
+        if self.cross:
+            return (p[0] + p[1] + p[2]) * (q[0] + q[1] + q[2])
+        return p[0] * q[0] + p[1] * q[1] + p[2] * q[2]
+
+    def other_root(self, u: Rat, v: Rat, w: Rat):
+        """Vieta's move: the root w' beside w of the equation in one coordinate.
+
+        With the other two coordinates u, v fixed the surface equation is a
+        monic quadratic, so w + w' = kappa*u*v - 2*cross*(u + v).
+        """
+        if self.cross:
+            return self.kappa * u * v - 2 * (u + v) - w
+        return self.kappa * u * v - w
+
+
+FRICKE = Surface("fricke", 3, 0)
+DOUBLE = Surface("double", 9, 1)
+SURFACES = {s.name: s for s in (FRICKE, DOUBLE)}
+
+
+# ---------------------------------------------------------------------------
 # the line-cubic oracle
 #
 # The secant composition laws are all verified against this: substitute the
@@ -318,10 +372,12 @@ def surface_defect(surface: str, p: Sequence[Rat], sigma: Rat = 0) -> Fraction:
     """LHS minus RHS of the selected surface equation; zero iff on surface."""
     x, y, z = (Fraction(v) for v in p)
     if surface == "fricke":
-        return x * x + y * y + z * z - 3 * x * y * z - Fraction(sigma)
-    if surface == "double":
-        return (x + y + z) ** 2 - 9 * x * y * z
-    raise ValueError(f"unknown surface id: {surface!r}")
+        defect = x * x + y * y + z * z - 3 * x * y * z
+    elif surface == "double":
+        defect = (x + y + z) ** 2 - 9 * x * y * z
+    else:
+        raise ValueError(f"unknown surface id: {surface!r}")
+    return defect - Fraction(sigma) if sigma else defect
 
 
 def _poly_mul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
@@ -377,6 +433,7 @@ def line_third_intersection(
             poly[i] += c
         for i, c in enumerate(_poly_mul(_poly_mul(lx, ly), lz)):
             poly[i] -= 9 * c
+        poly[0] -= Fraction(sigma)
     else:
         raise ValueError(f"unknown surface id: {surface!r}")
 

@@ -1,20 +1,26 @@
-"""The Fricke surface x^2 + y^2 + z^2 = 3xyz (+ sigma).
+"""Secant laws of the surfaces Q(x, y, z) - kappa*xyz = sigma.
 
-Membership, the Viete generators, the rational parametrizations, the
-secant composition law with its degenerate cases, the star law, and the
-transferred structures on the projective plane.
+Membership, the Viete generators, the rational chart of the Fricke
+surface x^2 + y^2 + z^2 = 3xyz, the secant composition law with its
+degenerate cases, the star law, and the transferred structures on the
+projective plane.  Each law reads Q and kappa from a ``Surface`` record,
+the Fricke surface by default, so the same code serves the double
+surface (x + y + z)^2 = 9xyz.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Union
 
 from .exact import (
+    FRICKE,
     DomainError,
+    OffSurface,
     ProjectivePoint,
     Rat,
     SingularPoint,
+    Surface,
     ZeroArgument,
     normalize_projective,
     surface_defect,
@@ -33,35 +39,26 @@ class UndefinedImage(DomainError):
     pass
 
 
-class OffSurface(DomainError):
-    pass
+def FrickeSurface(sigma: Rat = 0) -> Surface:
+    """The Fricke record shifted to x^2 + y^2 + z^2 - 3xyz = sigma."""
+    return replace(FRICKE, sigma=Fraction(sigma))
 
 
 @dataclass(frozen=True, slots=True)
-class FrickeSurface:
-    sigma: Fraction = Fraction(0)
-
-    def contains(self, x: Rat, y: Rat, z: Rat) -> bool:
-        return surface_defect("fricke", (x, y, z), self.sigma) == 0
-
-
-FRICKE = FrickeSurface()
-
-
-@dataclass(frozen=True, slots=True)
-class FrickePoint:
+class SurfacePoint:
     """An affine point validated to lie on its surface exactly."""
 
     x: Fraction
     y: Fraction
     z: Fraction
-    surface: FrickeSurface = FRICKE
+    surface: Surface
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
         object.__setattr__(self, "z", Fraction(self.z))
-        if not self.surface.contains(self.x, self.y, self.z):
+        s = self.surface
+        if surface_defect(s.name, (self.x, self.y, self.z), s.sigma) != 0:
             raise OffSurface(f"({self.x}, {self.y}, {self.z}) is not on the surface")
 
     @property
@@ -71,6 +68,13 @@ class FrickePoint:
     @property
     def is_origin(self) -> bool:
         return self.x == self.y == self.z == 0
+
+
+@dataclass(frozen=True, slots=True)
+class FrickePoint(SurfacePoint):
+    """A point of the Fricke surface, or of the surface given."""
+
+    surface: Surface = FRICKE
 
 
 # -- composition results ----------------------------------------------------
@@ -83,7 +87,7 @@ UNDEFINED_SECANT_AT_INFINITY = "secant-at-infinity"
 
 @dataclass(frozen=True, slots=True)
 class Finite:
-    point: object  # FrickePoint or double_fricke.F2Point
+    point: SurfacePoint
 
 
 @dataclass(frozen=True, slots=True)
@@ -107,30 +111,36 @@ ComposeResult = Union[Finite, Infinite, Undefined]
 # -- Viete generators ---------------------------------------------------------
 
 
-def viete(p: FrickePoint, generator: str) -> FrickePoint:
-    """Apply L: (x,y,z) -> (x, 3xy-z, y) or R: (x,y,z) -> (y, 3yz-x, z)."""
-    if p.surface.sigma != 0:
+def viete(p: SurfacePoint, generator: str) -> SurfacePoint:
+    """Apply L: (x,y,z) -> (x, z', y) or R: (x,y,z) -> (y, x', z).
+
+    z' and x' are the other roots of Vieta's move; on the Fricke surface
+    L is (x, 3xy-z, y) and R is (y, 3yz-x, z).
+    """
+    s = p.surface
+    if s.sigma != 0:
         raise SigmaUnsupported("Viete generators are stated for sigma = 0 only")
     x, y, z = p.coords
     if generator == "L":
-        return FrickePoint(x, 3 * x * y - z, y)
+        return type(p)(x, s.other_root(x, y, z), y, s)
     if generator == "R":
-        return FrickePoint(y, 3 * y * z - x, z)
+        return type(p)(y, s.other_root(y, z, x), z, s)
     raise ValueError(f"generator must be 'L' or 'R', got {generator!r}")
 
 
 # -- parametrizations ---------------------------------------------------------
 
 
-def phi(p: ProjectivePoint) -> ProjectivePoint:
+def phi(p: ProjectivePoint, surface: Surface = FRICKE) -> ProjectivePoint:
     """Parametrize the projectivized surface by the plane.
 
-    [p:q:r] -> [p*s : q*s : r*s : 3pqr] with s = p^2+q^2+r^2.  Total over
-    the rationals (p^2+q^2+r^2 = 0 has no rational points).
+    [p:q:r] -> [p*s : q*s : r*s : kappa*pqr] with s = Q(p, q, r).  Total
+    over the rationals on the Fricke surface (p^2+q^2+r^2 = 0 has no
+    rational points).
     """
     a, b, c = p.coords
-    s = a * a + b * b + c * c
-    return normalize_projective([a * s, b * s, c * s, 3 * a * b * c])
+    s = surface.quad(a, b, c)
+    return normalize_projective([a * s, b * s, c * s, surface.kappa * a * b * c])
 
 
 def psi(p: ProjectivePoint) -> ProjectivePoint:
@@ -160,11 +170,13 @@ def param_affine_inverse(p: FrickePoint) -> tuple[Fraction, Fraction]:
 # -- the secant composition ---------------------------------------------------
 
 
-def compose(p: FrickePoint, q: FrickePoint) -> ComposeResult:
+def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     """Third intersection of the line pq with the surface.
 
     Finite when all three coordinate differences are nonzero; otherwise
-    the answer lives on a line at infinity and is projectivized.
+    the answer lives on a line at infinity and is projectivized.  With B
+    the bilinear form of Q, x = (kappa*(ank + bcm) - 2*(B(p, q) - sigma))
+    / (kappa*(b - n)*(c - k)), and y, z follow by symmetry.
     """
     if p.surface != q.surface:
         raise ValueError("operands live on different surfaces")
@@ -175,11 +187,13 @@ def compose(p: FrickePoint, q: FrickePoint) -> ComposeResult:
         return Undefined(UNDEFINED_ORIGIN)
     da, db, dc = a - m, b - n, c - k
     if da and db and dc:
-        w = 2 * (a * m + b * n + c * k)
-        x = (3 * (a * n * k + b * c * m) - w) / (3 * db * dc)
-        y = (3 * (b * m * k + a * c * n) - w) / (3 * da * dc)
-        z = (3 * (c * m * n + a * b * k) - w) / (3 * da * db)
-        return Finite(FrickePoint(x, y, z, p.surface))
+        s = p.surface
+        kappa = s.kappa
+        w = 2 * (s.bilinear(p.coords, q.coords) - s.sigma)
+        x = (kappa * (a * n * k + b * c * m) - w) / (kappa * db * dc)
+        y = (kappa * (b * m * k + a * c * n) - w) / (kappa * da * dc)
+        z = (kappa * (c * m * n + a * b * k) - w) / (kappa * da * db)
+        return Finite(type(p)(x, y, z, s))
     # the line meets the surface again at infinity: when a = m the third
     # point is [0 : b-n : c-k : 0], and the other vanishing patterns follow
     # by the symmetry of the equation
@@ -216,13 +230,16 @@ def star(p: FrickePoint, q: FrickePoint) -> ComposeResult:
 # -- transfers to the projective plane ---------------------------------------
 
 
-def p2_viete(p: ProjectivePoint, generator: str) -> ProjectivePoint:
-    """Viete generators conjugated through phi onto the plane."""
+def p2_viete(p: ProjectivePoint, generator: str, surface: Surface = FRICKE) -> ProjectivePoint:
+    """Viete generators conjugated through phi onto the plane.
+
+    L: [p:q:r] -> [pr : Q(p, q, 0) : qr], R: [qp : Q(q, r, 0) : pr].
+    """
     a, b, c = p.coords
     if generator == "L":
-        image = [a * c, a * a + b * b, b * c]
+        image = [a * c, surface.quad(a, b), b * c]
     elif generator == "R":
-        image = [b * a, b * b + c * c, a * c]
+        image = [b * a, surface.quad(b, c), a * c]
     else:
         raise ValueError(f"generator must be 'L' or 'R', got {generator!r}")
     if not any(image):
@@ -230,15 +247,15 @@ def p2_viete(p: ProjectivePoint, generator: str) -> ProjectivePoint:
     return normalize_projective(image)
 
 
-def p2_involution(p: ProjectivePoint, which: int) -> ProjectivePoint:
+def p2_involution(p: ProjectivePoint, which: int, surface: Surface = FRICKE) -> ProjectivePoint:
     """The three birational involutions obtained by permuting the transfer."""
     a, b, c = p.coords
     if which == 1:
-        image = [a * c, b * c, a * a + b * b]
+        image = [a * c, b * c, surface.quad(a, b)]
     elif which == 2:
-        image = [b * b + c * c, a * b, a * c]
+        image = [surface.quad(b, c), a * b, a * c]
     elif which == 3:
-        image = [a * b, a * a + c * c, c * b]
+        image = [a * b, surface.quad(a, c), c * b]
     else:
         raise ValueError("which must be 1, 2 or 3")
     if not any(image):
@@ -246,16 +263,22 @@ def p2_involution(p: ProjectivePoint, which: int) -> ProjectivePoint:
     return normalize_projective(image)
 
 
-def p2_compose(p: ProjectivePoint, q: ProjectivePoint) -> ProjectivePoint:
-    """The secant composition conjugated through phi onto the plane."""
+def p2_compose(
+    p: ProjectivePoint, q: ProjectivePoint, surface: Surface = FRICKE
+) -> ProjectivePoint:
+    """The secant composition conjugated through phi onto the plane.
+
+    The kernels are Q(u, v, 0), Q(u, -w, 0) and Q(v, w, 0): u^2 + v^2 on
+    the Fricke surface, (u + v)^2 on the double surface.
+    """
     (a, b, c), (m, n, k) = p.coords, q.coords
-    s1 = a * a + b * b + c * c
-    s2 = m * m + n * n + k * k
+    s1 = surface.quad(a, b, c)
+    s2 = surface.quad(m, n, k)
     u, v, w = a * n - b * m, a * k - c * m, b * k - c * n
     image = [
-        (s1 * k * n - s2 * b * c) * (u * u + v * v),
-        (s1 * k * m - s2 * a * c) * (u * u + w * w),
-        (s1 * m * n - s2 * b * a) * (v * v + w * w),
+        (s1 * k * n - s2 * b * c) * surface.quad(u, v),
+        (s1 * k * m - s2 * a * c) * surface.quad(u, -w),
+        (s1 * m * n - s2 * b * a) * surface.quad(v, w),
     ]
     if not any(image):
         raise UndefinedImage("transferred composition vanishes identically here")

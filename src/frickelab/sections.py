@@ -1,11 +1,14 @@
-"""Quadric sections y = n0 of the Fricke surface.
+"""Quadric sections y = n0 of the surfaces.
 
-A section is the conic x^2 + n0^2 + z^2 = 3*x*n0*z in the (x,z) plane.
-With a base point O = (m0, k0) it carries a commutative group law: A + B
-is the second intersection with the conic of the line through O parallel
-to the chord AB.  The module also covers the points at infinity (minus
-continued fractions), the dihedral integral transforms, and their
-Chebyshev-like closed forms.
+A section is a conic in the (x,z) plane: x^2 + n0^2 + z^2 = 3*x*n0*z on
+the Fricke surface, and in general
+x^2 + z^2 + beta*x*z + gamma*(x + z) + n0^2 - sigma = 0, with
+(beta, gamma) = (2*cross - kappa*n0, 2*cross*n0) read from the frame's
+``Surface`` record.  With a base point O = (m0, k0) it carries a
+commutative group law: A + B is the second intersection with the conic
+of the line through O parallel to the chord AB.  The module also covers
+the points at infinity (minus continued fractions), the dihedral integral
+transforms of the Fricke sections, and their Chebyshev-like closed forms.
 """
 from __future__ import annotations
 
@@ -14,9 +17,11 @@ from fractions import Fraction
 
 from .exact import (
     AT_INFINITY,
+    FRICKE,
     DomainError,
     Rat,
     Slope,
+    Surface,
     is_rational_square,
     slope_between,
     sqrt_exact,
@@ -43,12 +48,13 @@ class SectionFrame:
     m0: Fraction
     n0: Fraction
     k0: Fraction
+    surface: Surface = FRICKE
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m0", Fraction(self.m0))
         object.__setattr__(self, "n0", Fraction(self.n0))
         object.__setattr__(self, "k0", Fraction(self.k0))
-        if surface_defect("fricke", (self.m0, self.n0, self.k0)) != 0:
+        if not self.contains(self.m0, self.k0):
             raise OffSection(f"({self.m0}, {self.n0}, {self.k0}) is not on the surface")
         if self.n0 == 0:
             raise OffSection("n0 = 0 degenerates the section")
@@ -66,8 +72,15 @@ class SectionFrame:
             and self.n0 == max(triple)
         )
 
+    @property
+    def conic(self) -> tuple[Fraction, Fraction]:
+        """(beta, gamma) of the section conic."""
+        s = self.surface
+        return (2 * s.cross - s.kappa * self.n0, 2 * s.cross * self.n0)
+
     def contains(self, x: Rat, z: Rat) -> bool:
-        return surface_defect("fricke", (x, self.n0, z)) == 0
+        s = self.surface
+        return surface_defect(s.name, (x, self.n0, z), s.sigma) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -90,34 +103,35 @@ class SectionPoint:
 def solve_z(frame: SectionFrame, x: Rat) -> list[SectionPoint]:
     """All rational z with (x, z) on the section: 0, 1 or 2 points.
 
-    Empty when the discriminant 9*x^2*n0^2 - 4*(n0^2 + x^2) is not the
-    square of a rational.
+    Empty when the discriminant of the quadratic in z, on the Fricke
+    surface 9*x^2*n0^2 - 4*(n0^2 + x^2), is not the square of a rational.
     """
     x = Fraction(x)
-    n0 = frame.n0
-    disc = 9 * x * x * n0 * n0 - 4 * (n0 * n0 + x * x)
+    beta, gamma = frame.conic
+    lin = beta * x + gamma
+    disc = lin * lin - 4 * (x * x + gamma * x + frame.n0 * frame.n0 - frame.surface.sigma)
     if disc < 0 or not is_rational_square(disc):
         return []
     root = sqrt_exact(disc)
     if root == 0:
-        return [SectionPoint(x, 3 * x * n0 / 2, frame)]
+        return [SectionPoint(x, -lin / 2, frame)]
     return [
-        SectionPoint(x, (3 * x * n0 - root) / 2, frame),
-        SectionPoint(x, (3 * x * n0 + root) / 2, frame),
+        SectionPoint(x, (-lin - root) / 2, frame),
+        SectionPoint(x, (-lin + root) / 2, frame),
     ]
 
 
 def infinity_points(frame: SectionFrame):
-    """The two slopes t = (3*n0 +- sqrt(9*n0^2 - 4)) / 2 at infinity.
+    """The two slopes at infinity: the roots of t^2 + beta*t + 1 = 0.
 
-    Quadratic irrationals in general; a pair of rationals when the
-    radicand happens to be a rational square.
+    (3*n0 +- sqrt(9*n0^2 - 4)) / 2 on the Fricke surface.  Quadratic
+    irrationals in general; a pair of rationals when the radicand happens
+    to be a rational square.  Their sum is -beta and their product is 1.
     """
-    n0 = frame.n0
-    disc = 9 * n0 * n0 - 4
-    root = sqrt_exact(disc)
-    lo = (3 * n0 - root) * Fraction(1, 2)
-    hi = (3 * n0 + root) * Fraction(1, 2)
+    beta, _gamma = frame.conic
+    root = sqrt_exact(beta * beta - 4)
+    lo = (-beta - root) * Fraction(1, 2)
+    hi = (-beta + root) * Fraction(1, 2)
     return (lo, hi)
 
 
@@ -151,62 +165,54 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
 # -- the group law -------------------------------------------------------------
 
 
-def _chord_add(frame: SectionFrame, mu: Slope) -> SectionPoint:
-    """Second intersection with the section of the line through O with slope mu."""
-    m0, n0, k0 = frame.m0, frame.n0, frame.k0
+def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, mu: Slope):
+    """Second intersection with the section of the line through (x0, z0), slope mu.
+
+    Along (x0 + u, z0 + mu*u) the conic is u*(C_x + mu*C_z) +
+    u^2*(1 + beta*mu + mu^2), with the gradient (C_x, C_z) taken at
+    (x0, z0); a vertical line gives the other root in z by Vieta.
+    """
+    beta, gamma = frame.conic
     if mu is AT_INFINITY:
-        return SectionPoint(m0, 3 * n0 * m0 - k0, frame)
-    den = 1 + mu * mu - 3 * n0 * mu
-    if den == 0:
-        raise DenominatorVanishes("chord parallel to an asymptote; sum at infinity")
-    x = (mu * mu * m0 - m0 - 2 * mu * k0 + 3 * n0 * k0) / den
-    z = (k0 - 2 * m0 * mu - mu * mu * k0 + 3 * m0 * n0 * mu * mu) / den
-    return SectionPoint(x, z, frame)
+        return SectionPoint(x0, -(beta * x0 + gamma) - z0, frame)
+    lead = 1 + beta * mu + mu * mu
+    if lead == 0:
+        raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
+    cx = 2 * x0 + beta * z0 + gamma
+    cz = 2 * z0 + beta * x0 + gamma
+    u = -(cx + mu * cz) / lead
+    return SectionPoint(x0 + u, z0 + mu * u, frame)
 
 
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
     """Slope of the tangent line to the section at p."""
-    num = 2 * p.x - 3 * frame.n0 * p.z
-    den = 2 * p.z - 3 * frame.n0 * p.x
+    beta, gamma = frame.conic
+    num = 2 * p.x + beta * p.z + gamma
+    den = 2 * p.z + beta * p.x + gamma
     if den == 0:
         return AT_INFINITY
     return -num / den
+
 
 def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> SectionPoint:
     """The conic group law with neutral element O."""
     if p1.xy == p2.xy:
         return quadric_double(frame, p1)
-    return _chord_add(frame, slope_between(p1.xy, p2.xy))
+    return _second_point(frame, frame.m0, frame.k0, slope_between(p1.xy, p2.xy))
 
 
 def quadric_double(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     """P + P, via the chord through O parallel to the tangent at P."""
-    return _chord_add(frame, tangent_slope(frame, p))
+    return _second_point(frame, frame.m0, frame.k0, tangent_slope(frame, p))
 
 
 def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     """The unique S with P + S = O.
 
     Second intersection with the section of the line through P parallel
-    to the tangent at O.  When that tangent is vertical the computation
-    runs in the (z, x)-swapped frame, which is legitimate by the symmetry
-    of the section equation.
+    to the tangent at O.
     """
-    m0, n0, k0 = frame.m0, frame.n0, frame.k0
-    mu = tangent_slope(frame, frame.origin)
-    if mu is AT_INFINITY:
-        swapped = SectionFrame(k0, n0, m0)
-        mirror = quadric_inverse(swapped, SectionPoint(p.z, p.x, swapped))
-        return SectionPoint(mirror.z, mirror.x, frame)
-    # quadratic in x along z = mu*x + w; one root is x1, the sum of the
-    # roots gives the other
-    w = p.z - mu * p.x
-    den = 1 + mu * mu - 3 * n0 * mu
-    if den == 0:
-        raise DenominatorVanishes("tangent at O parallel to an asymptote")
-    x = -(2 * mu - 3 * n0) * w / den - p.x
-    z = mu * (x - p.x) + p.z
-    return SectionPoint(x, z, frame)
+    return _second_point(frame, p.x, p.z, tangent_slope(frame, frame.origin))
 
 
 # -- dihedral transforms -------------------------------------------------------

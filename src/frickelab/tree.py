@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import DomainError, surface_defect
+from .exact import SURFACES, DomainError, surface_defect
 
 
 class RootOffSurface(DomainError):
@@ -27,7 +27,7 @@ class CanonicalTriple:
     surface: str = "fricke"
 
     def __post_init__(self) -> None:
-        if self.surface not in ("fricke", "double"):
+        if self.surface not in SURFACES:
             raise ValueError(f"unknown surface id: {self.surface!r}")
         if tuple(sorted(self.values)) != self.values:
             raise ValueError(f"{self.values} is not sorted")
@@ -48,18 +48,15 @@ class TreeNode:
     triple: CanonicalTriple
     via: str | None  # which coordinate the Vieta move replaced; None at the root
     depth: int
+    parent: int | None = None  # position of the parent node in generate's list
 
 
 def _children(surface: str, t: tuple[int, int, int]):
+    s = SURFACES[surface]
     a, b, c = t
-    if surface == "fricke":
-        yield (3 * b * c - a, b, c), "x"
-        yield (a, 3 * a * c - b, c), "y"
-        yield (a, b, 3 * a * b - c), "z"
-    else:
-        yield (9 * b * c - 2 * b - 2 * c - a, b, c), "x"
-        yield (a, 9 * a * c - 2 * a - 2 * c - b, c), "y"
-        yield (a, b, 9 * a * b - 2 * a - 2 * b - c), "z"
+    yield (s.other_root(b, c, a), b, c), "x"
+    yield (a, s.other_root(a, c, b), c), "y"
+    yield (a, b, s.other_root(a, b, c)), "z"
 
 
 def generate(
@@ -74,12 +71,13 @@ def generate(
     ``depth`` bounds the number of generator applications;
     ``max_component`` prunes every triple whose largest absolute entry
     exceeds the bound (valid because components only grow away from the
-    root).  At least one limit is required.
+    root).  At least one limit is required.  Each node records the
+    position of the node it was first reached from.
     """
     if root.surface != surface:
         raise RootOffSurface(f"root {root} is not tagged for {surface}")
     if depth is None and max_component is None:
-        raise ValueError("either depth or max_component must be given")
+        raise DomainError("either depth or max_component must be given")
 
     def admitted(values: tuple[int, int, int]) -> bool:
         return max_component is None or max(abs(v) for v in values) <= max_component
@@ -88,24 +86,24 @@ def generate(
         return []
     out = [TreeNode(root, None, 0)]
     seen = {root.values}
-    frontier = [root.values]
+    frontier = [0]  # positions in ``out`` of the previous level
     level = 0
     while frontier and (depth is None or level < depth):
         level += 1
         emitted = []
-        for t in frontier:
-            for child, label in _children(surface, t):
+        for parent in frontier:
+            for child, label in _children(surface, out[parent].triple.values):
                 canon = tuple(sorted(child))
                 if canon in seen or not admitted(canon):
                     continue
                 seen.add(canon)
-                emitted.append((canon, label))
+                emitted.append((canon, label, parent))
         emitted.sort()
+        frontier = list(range(len(out), len(out) + len(emitted)))
         out.extend(
-            TreeNode(CanonicalTriple(canon, surface), label, level)
-            for canon, label in emitted
+            TreeNode(CanonicalTriple(canon, surface), label, level, parent)
+            for canon, label, parent in emitted
         )
-        frontier = [canon for canon, _ in emitted]
     return out
 
 
@@ -132,7 +130,7 @@ def frobenius_scan(max_component: int) -> FrobeniusReport:
     reports findings only; the conjecture itself stays open.
     """
     if max_component < 2:
-        raise ValueError("max_component must be at least 2")
+        raise DomainError("max_component must be at least 2")
     nodes = generate("fricke", MARKOV_ROOT, max_component=max_component)
     by_largest: dict[int, list[CanonicalTriple]] = {}
     for node in nodes:

@@ -188,3 +188,35 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert json.loads(proc.stdout) == {"result": ["15/4", "-3/4", "-6"]}
+
+
+class TestExitContract:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["psi", "[1:2:3]"],
+            ["phi", "[1:2:3:4]"],
+            ["tree"],
+            ["frobenius", "--max-component", "1"],
+            ["negative-tree", "--n", "0", "--depth", "2"],
+            ["compose", "1/0,1,1", "1,1,1"],
+        ],
+    )
+    def test_bad_input_exits_without_traceback(self, capsys, argv):
+        try:
+            code = run(argv)
+        except SystemExit as exc:
+            code = exc.code
+        assert code in (1, 2)
+        assert "Traceback" not in capsys.readouterr().err
+
+    def test_sigma_composition(self, capsys):
+        payload = invoke_json(capsys, "compose", "--sigma", "-4", "1,2,3", "3,1,2")
+        assert payload == {"result": ["10", "-5/2", "-3/2"]}
+
+
+class TestCheckCoincidentSquares:
+    def test_charts_with_one_squared_point(self, capsys):
+        # charts (P, Q) and (-P, -Q) give one double-surface point here
+        payload = invoke_json(capsys, "check", "--seed", "459261", "--pairs", "18")
+        assert payload == {"result": "ok", "seed": 459261, "pairs-checked": 18}

@@ -1,3 +1,5 @@
+import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,10 +25,17 @@ from frickelab import (
     phi,
     psi,
     star,
+    surface_defect,
     viete,
 )
-from frickelab.exact import SingularPoint, ZeroArgument
-from frickelab.fricke import BasePointUndefined, OffSurface, SigmaUnsupported, UndefinedImage
+from frickelab.exact import DOUBLE, FRICKE, SingularPoint, ZeroArgument
+from frickelab.fricke import (
+    BasePointUndefined,
+    OffSurface,
+    SigmaUnsupported,
+    SurfacePoint,
+    UndefinedImage,
+)
 
 
 def P(*coords):
@@ -288,3 +297,36 @@ class TestPlaneTransfers:
                 continue
             assert p2_compose(a, b) == normalize_projective(r.point.coords)
             done += 1
+
+
+class TestSigmaSurfaces:
+    # the other root of the equation in z, given x and y; sigma drops out
+    VIETA = {
+        "fricke": lambda x, y, z: 3 * x * y - z,
+        "double": lambda x, y, z: 9 * x * y - 2 * (x + y) - z,
+    }
+
+    @pytest.mark.parametrize("base", [FRICKE, DOUBLE], ids=lambda s: s.name)
+    def test_oracle_equivalence(self, base):
+        # a random rational point fixes sigma; its permutations and Viete
+        # images lie on the same sigma-surface
+        rng = random.Random(20261017)
+        done = 0
+        while done < 150:
+            x, y, z = (Fraction(rng.randint(-40, 40), rng.randint(1, 12)) for _ in range(3))
+            sigma = surface_defect(base.name, (x, y, z))
+            surf = replace(base, sigma=sigma)
+            images = [(z, x, y), (y, z, x), (y, x, z), (x, y, self.VIETA[base.name](x, y, z))]
+            a = SurfacePoint(x, y, z, surf)
+            for coords in images:
+                b = SurfacePoint(*coords, surf)
+                if a == b or a.is_origin:
+                    continue
+                r = compose(a, b)
+                oracle = line_third_intersection(a.coords, b.coords, base.name, sigma)
+                if isinstance(r, Finite):
+                    assert oracle is not DEGENERATE_CUBIC
+                    assert line_point(a.coords, b.coords, oracle.t) == r.point.coords
+                else:
+                    assert isinstance(r, Infinite) and oracle is DEGENERATE_CUBIC
+                done += 1
