@@ -278,34 +278,19 @@ def _frame(args) -> sections.SectionFrame:
     return sections.SectionFrame(*args.frame, SURFACES[args.surface])
 
 
-def _section(args) -> dict:
-    """The section laws and transforms of one point (two for section-add)."""
-    frame = _frame(args)
-    p = sections.SectionPoint(*args.p, frame)
-    if args.command == "section-add":
-        out = sections.quadric_add(frame, p, sections.SectionPoint(*args.q, frame))
-    elif args.command == "section-double":
-        out = sections.quadric_double(frame, p)
-    elif args.command == "section-inverse":
-        out = sections.quadric_inverse(frame, p)
-    elif args.command == "dihedral":
-        out = sections.dihedral(frame, p, args.map)
-    else:
-        out = sections.ta_power(frame, p, args.r, args.family)
-    return {"result": _ser(out)}
+def _on_point(law):
+    """Handler applying ``law(frame, p, args)`` to the frame and the point given."""
+
+    def handle(args) -> dict:
+        frame = _frame(args)
+        return {"result": _ser(law(frame, sections.SectionPoint(*args.p, frame), args))}
+
+    return handle
 
 
-def _transfer(args) -> dict:
-    surface = SURFACES[args.surface]
-    if args.command == "phi":
-        out = fricke.phi(args.p, surface)
-    elif args.command == "psi":
-        out = fricke.psi(args.p)
-    elif args.command == "p2-viete":
-        out = fricke.p2_viete(args.p, args.generator, surface)
-    else:
-        out = fricke.p2_compose(args.p, args.q, surface)
-    return {"result": str(out)}
+def _transfer(law):
+    """Handler printing ``law(args, surface)``, a plane or surface point, as a string."""
+    return lambda args: {"result": str(law(args, SURFACES[args.surface]))}
 
 
 HANDLERS = {
@@ -316,19 +301,21 @@ HANDLERS = {
     "negative-tree": lambda args: {
         "result": [list(t) for t in df.negative_tree(args.n, args.depth)]
     },
-    "section-add": _section,
-    "section-double": _section,
-    "section-inverse": _section,
-    "dihedral": _section,
-    "ta-power": _section,
+    "section-add": _on_point(
+        lambda fr, p, args: sections.quadric_add(fr, p, sections.SectionPoint(*args.q, fr))
+    ),
+    "section-double": _on_point(lambda fr, p, args: sections.quadric_double(fr, p)),
+    "section-inverse": _on_point(lambda fr, p, args: sections.quadric_inverse(fr, p)),
+    "dihedral": _on_point(lambda fr, p, args: sections.dihedral(fr, p, args.map)),
+    "ta-power": _on_point(lambda fr, p, args: sections.ta_power(fr, p, args.r, args.family)),
     "chebyshev": lambda args: {"result": _ser(sections.chebyshev_b(args.r, args.n0))},
     "infinity": lambda args: {"result": _ser(sections.infinity_points(_frame(args)))},
     "convergent": lambda args: {"result": _ser(sections.cf_convergent(_frame(args), args.r))},
     "param": lambda args: {"result": _ser(_chart(args.surface, args.P, args.Q))},
-    "phi": _transfer,
-    "psi": _transfer,
-    "p2-viete": _transfer,
-    "p2-compose": _transfer,
+    "phi": _transfer(lambda args, surface: fricke.phi(args.p, surface)),
+    "psi": _transfer(lambda args, surface: fricke.psi(args.p)),
+    "p2-viete": _transfer(lambda args, surface: fricke.p2_viete(args.p, args.generator, surface)),
+    "p2-compose": _transfer(lambda args, surface: fricke.p2_compose(args.p, args.q, surface)),
     "check": lambda args: _run_check(args.seed, args.pairs),
 }
 

@@ -93,11 +93,6 @@ class ProjectivePoint:
     def __str__(self) -> str:
         return "[" + ":".join(str(c) for c in self.coords) + "]"
 
-    @property
-    def is_at_infinity(self) -> bool:
-        """Last coordinate zero (meaningful for the 4-coordinate flavor)."""
-        return self.coords[-1] == 0
-
 
 def normalize_projective(values: Sequence[Rat]) -> ProjectivePoint:
     """Clear denominators, divide by the gcd, and fix the sign.

@@ -81,7 +81,6 @@ class FrickePoint(SurfacePoint):
 
 UNDEFINED_COINCIDENT = "coincident-points"
 UNDEFINED_ORIGIN = "origin-operand"
-UNDEFINED_SAME_INFINITY_LINE = "same-infinity-line"
 UNDEFINED_SECANT_AT_INFINITY = "secant-at-infinity"
 
 

@@ -127,12 +127,80 @@ def infinity_points(frame: SectionFrame):
     (3*n0 +- sqrt(9*n0^2 - 4)) / 2 on the Fricke surface.  Quadratic
     irrationals in general; a pair of rationals when the radicand happens
     to be a rational square.  Their sum is -beta and their product is 1.
+    An ellipse (beta^2 < 4) has none: DomainError.
     """
     beta, _gamma = frame.conic
+    if beta * beta < 4:
+        raise DomainError(f"beta^2 = {beta * beta} < 4: an ellipse has no real points at infinity")
     root = sqrt_exact(beta * beta - 4)
     lo = (-beta - root) * Fraction(1, 2)
     hi = (-beta + root) * Fraction(1, 2)
     return (lo, hi)
+
+
+# -- dihedral transforms -------------------------------------------------------
+
+# The transforms A, TA, C, TC, B, T of the section y = n0 are 2x2 matrices on
+# the column (m, k), built from 1 and t = 3*n0; with n0 = p/q each is N/q for
+# the integer matrix N = make(3*p, q), so powers are taken in integers.
+_MATRICES = {
+    "A": lambda t, q: ((q, 0), (t, -q)),
+    "TA": lambda t, q: ((t, -q), (q, 0)),
+    "C": lambda t, q: ((-q, t), (0, q)),
+    "TC": lambda t, q: ((0, q), (-q, t)),
+    "B": lambda t, q: ((-q, 0), (0, -q)),
+    "T": lambda t, q: ((0, q), (q, 0)),
+}
+
+
+def _mat_mul(x, y):
+    (a, b), (c, d) = x
+    (e, f), (g, h) = y
+    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+
+
+def _mat_pow(m, r: int):
+    """m^r by repeated squaring: O(log r) integer matrix products."""
+    if r == 0:
+        return ((1, 0), (0, 1))
+    half = _mat_pow(m, r // 2)
+    square = _mat_mul(half, half)
+    return _mat_mul(square, m) if r % 2 else square
+
+
+def _power(which: str, n0: Fraction, r: int):
+    """(N, scale) with N an integer matrix and N/scale the r-th power of the transform."""
+    if which not in _MATRICES:
+        raise ValueError(f"transform must be one of {tuple(_MATRICES)}, got {which!r}")
+    q = n0.denominator
+    return _mat_pow(_MATRICES[which](3 * n0.numerator, q), r), q**r
+
+
+def _apply(frame: SectionFrame, p: SectionPoint, which: str, r: int) -> SectionPoint:
+    ((a, b), (c, d)), scale = _power(which, frame.n0, r)
+    # (m, k) = (u, v)/den over a common denominator: one Fraction per coordinate
+    m, k = p.x, p.z
+    u, v = m.numerator * k.denominator, k.numerator * m.denominator
+    den = scale * m.denominator * k.denominator
+    return SectionPoint(Fraction(a * u + b * v, den), Fraction(c * u + d * v, den), frame)
+
+
+def dihedral(frame: SectionFrame, p: SectionPoint, which: str) -> SectionPoint:
+    """The integral transforms A, TA, C, TC, B, T of the section.
+
+    A and T are involutions, C = T*A*T, and <A, T> is the infinite
+    dihedral group; every image of an integral point is integral.
+    """
+    return _apply(frame, p, which, 1)
+
+
+def ta_power(frame: SectionFrame, p: SectionPoint, r: int, family: str = "TA") -> SectionPoint:
+    """Closed form of the r-th power of TA (or TC): one integer matrix power."""
+    if r < 0:
+        raise IndexZero("powers are defined for r >= 0")
+    if family not in ("TA", "TC"):
+        raise ValueError(f"family must be 'TA' or 'TC', got {family!r}")
+    return _apply(frame, p, family, r)
 
 
 # -- Chebyshev-like recurrence -------------------------------------------------
@@ -142,16 +210,13 @@ def chebyshev_b(r: int, n0: Rat) -> Fraction:
     """b_r(n0) with b_0 = 1, b_1 = 3*n0, b_{r+2} = 3*n0*b_{r+1} - b_r.
 
     Indices -1 and -2 (values 0 and -1) are admitted: they are forced by
-    running the recurrence backwards and are needed by the closed-form
-    dihedral powers at small r.
+    running the recurrence backwards.  Read off the matrix power
+    TA^r = [[b_r, -b_{r-1}], [b_{r-1}, -b_{r-2}]] at r + 2.
     """
     if r < -2:
         raise IndexZero(f"index {r} below the supported range")
-    n0 = Fraction(n0)
-    prev, cur = Fraction(-1), Fraction(0)  # b_{-2}, b_{-1}
-    for _ in range(r + 2):
-        prev, cur = cur, 3 * n0 * cur - prev
-    return prev
+    matrix, scale = _power("TA", Fraction(n0), r + 2)
+    return Fraction(-matrix[1][1], scale)
 
 
 def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
@@ -159,7 +224,8 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
     ceil(3*n0 : 3*n0 : ...) converging to the larger point at infinity."""
     if r < 1:
         raise IndexZero("convergents are indexed from 1")
-    return chebyshev_b(r, frame.n0) / chebyshev_b(r - 1, frame.n0)
+    matrix, _scale = _power("TA", frame.n0, r)
+    return Fraction(matrix[0][0], matrix[1][0])
 
 
 # -- the group law -------------------------------------------------------------
@@ -213,51 +279,3 @@ def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     to the tangent at O.
     """
     return _second_point(frame, p.x, p.z, tangent_slope(frame, frame.origin))
-
-
-# -- dihedral transforms -------------------------------------------------------
-
-_DIHEDRAL = ("A", "TA", "C", "TC", "B", "T")
-
-
-def dihedral(frame: SectionFrame, p: SectionPoint, which: str) -> SectionPoint:
-    """The integral transforms A, TA, C, TC, B, T of the section.
-
-    A and T are involutions, C = T*A*T, and <A, T> is the infinite
-    dihedral group; every image of an integral point is integral.
-    """
-    n0 = frame.n0
-    m, k = p.x, p.z
-    if which == "A":
-        image = (m, 3 * m * n0 - k)
-    elif which == "TA":
-        image = (3 * m * n0 - k, m)
-    elif which == "C":
-        image = (3 * n0 * k - m, k)
-    elif which == "TC":
-        image = (k, 3 * n0 * k - m)
-    elif which == "B":
-        image = (-m, -k)
-    elif which == "T":
-        image = (k, m)
-    else:
-        raise ValueError(f"transform must be one of {_DIHEDRAL}, got {which!r}")
-    return SectionPoint(image[0], image[1], frame)
-
-
-def ta_power(frame: SectionFrame, p: SectionPoint, r: int, family: str = "TA") -> SectionPoint:
-    """Closed form of the r-th power of TA (or TC) via the b_r recurrence."""
-    if r < 0:
-        raise IndexZero("powers are defined for r >= 0")
-    if family not in ("TA", "TC"):
-        raise ValueError(f"family must be 'TA' or 'TC', got {family!r}")
-    n0 = frame.n0
-    br = chebyshev_b(r, n0)
-    br1 = chebyshev_b(r - 1, n0)
-    br2 = chebyshev_b(r - 2, n0)
-    m, k = p.x, p.z
-    if family == "TA":
-        return SectionPoint(m * br - k * br1, m * br1 - k * br2, frame)
-    # TC is the matrix [[0, 1], [-1, 3*n0]]; its r-th power puts b_r in the
-    # lower right, so the coordinate order is the mirror of the TA case
-    return SectionPoint(k * br1 - m * br2, k * br - m * br1, frame)

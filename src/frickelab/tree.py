@@ -139,20 +139,19 @@ def frobenius_scan(max_component: int) -> FrobeniusReport:
     return FrobeniusReport(max_component, by_largest, duplicates)
 
 
-def fundamental_points(n0: int, *, search_bound: int | None = None) -> list[CanonicalTriple]:
+def fundamental_points(n0: int) -> list[CanonicalTriple]:
     """All canonical positive Markov triples whose largest component is n0."""
-    bound = search_bound if search_bound is not None else n0
-    nodes = generate("fricke", MARKOV_ROOT, max_component=bound)
+    nodes = generate("fricke", MARKOV_ROOT, max_component=n0)
     return [node.triple for node in nodes if node.triple.largest == n0]
 
 
-def fundamental_point(n0: int, *, search_bound: int | None = None) -> CanonicalTriple:
+def fundamental_point(n0: int) -> CanonicalTriple:
     """A triple with maximum n0, usable as a section base point.
 
     Uniqueness of the match is exactly the Frobenius statement; this
     returns the first hit and leaves uniqueness to ``fundamental_points``.
     """
-    matches = fundamental_points(n0, search_bound=search_bound)
+    matches = fundamental_points(n0)
     if not matches:
         raise NotAMarkovNumber(f"{n0} is not the maximum of any Markov triple searched")
     return matches[0]

@@ -200,6 +200,7 @@ class TestExitContract:
             ["frobenius", "--max-component", "1"],
             ["negative-tree", "--n", "0", "--depth", "2"],
             ["compose", "1/0,1,1", "1,1,1"],
+            ["infinity", "--surface", "double", "--frame=-1/9,1/9,-1/9"],
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, argv):

@@ -5,6 +5,8 @@ import pytest
 
 from conftest import section_point_pool
 from frickelab import (
+    DOUBLE,
+    DomainError,
     SectionFrame,
     SectionPoint,
     cf_convergent,
@@ -21,6 +23,7 @@ from frickelab import (
 from frickelab.sections import IndexZero, OffSection, tangent_slope
 
 FRAMES = [(1, 1, 1), (1, 1, 2), (1, 2, 5), (2, 5, 29)]
+RATIONAL_FRAME = (Fraction(15, 4), Fraction(-3, 4), Fraction(-6))  # n0 = -3/4: q = 4
 
 
 def frame(triple=(1, 1, 1)) -> SectionFrame:
@@ -66,6 +69,12 @@ class TestInfinityPoints:
             for t in infinity_points(fr):
                 assert t * t - 3 * n0 * t + 1 == 0
 
+    def test_ellipse_section_is_a_domain_error(self):
+        # on the double surface, 0 < n0 < 4/9 gives beta^2 < 4: no real asymptotes
+        fr = SectionFrame(Fraction(-1, 9), Fraction(1, 9), Fraction(-1, 9), DOUBLE)
+        with pytest.raises(DomainError):
+            infinity_points(fr)
+
 
 class TestChebyshev:
     def test_base_values(self):
@@ -84,6 +93,14 @@ class TestChebyshev:
     def test_backward_indices(self):
         assert chebyshev_b(-1, 5) == 0
         assert chebyshev_b(-2, 5) == -1
+
+    def test_rational_n0_against_recurrence(self):
+        for n0 in (Fraction(-3, 4), Fraction(7, 3), Fraction(17689, 5184)):
+            prev, cur = Fraction(-1), Fraction(0)  # b_{-2}, b_{-1}
+            for r in range(-2, 501):
+                b = chebyshev_b(r, n0)
+                assert b == prev and type(b) is Fraction
+                prev, cur = cur, 3 * n0 * cur - prev
 
     def test_matrix_power_identity(self):
         for n0 in (1, 2, 5):
@@ -118,7 +135,7 @@ class TestConvergents:
             cf_convergent(frame(), 0)
 
     def test_recurrence_ratio_identity(self):
-        for triple in ((1, 1, 1), (1, 2, 5), (2, 5, 29)):
+        for triple in ((1, 1, 1), (1, 2, 5), (2, 5, 29), RATIONAL_FRAME):
             fr = frame(triple)
             n0 = fr.n0
             for r in range(1, 20):
@@ -244,7 +261,7 @@ class TestClosedFormPowers:
         assert ta_power(fr, fr.origin, 3).xy == (13, 5)
 
     def test_matches_iteration(self):
-        for triple in ((1, 1, 1), (1, 2, 5), (2, 5, 29)):
+        for triple in ((1, 1, 1), (1, 2, 5), (2, 5, 29), RATIONAL_FRAME):
             fr = frame(triple)
             for family in ("TA", "TC"):
                 q = fr.origin
