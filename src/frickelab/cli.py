@@ -11,6 +11,7 @@ failure), 1 on domain errors, 2 on usage errors.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import random
 import sys
@@ -114,6 +115,7 @@ def _chart(surface: str, P: Fraction, Q: Fraction) -> fricke.SurfacePoint:
     return {"fricke": fricke.param_affine, "double": df.f2_param_affine}[surface](P, Q)
 
 
+@functools.cache  # built on first use, then reused by every run in the process
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="frickelab", description=__doc__)
     top.add_argument("--format", choices=("json", "dot", "plain"), default="json")

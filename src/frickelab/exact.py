@@ -66,6 +66,14 @@ def format_rational(value: Rat) -> str:
     return f"{q.numerator}/{q.denominator}"
 
 
+def common_denominator(values: Sequence[Rat]) -> tuple[list[int], int]:
+    """(numerators, d): the values written as integers over d, the lcm of
+    their denominators, so that value i is numerators[i] / d."""
+    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
+    d = math.lcm(*[f.denominator for f in fracs])
+    return [f.numerator * (d // f.denominator) for f in fracs], d
+
+
 # ---------------------------------------------------------------------------
 # projective points
 
@@ -99,11 +107,9 @@ def normalize_projective(values: Sequence[Rat]) -> ProjectivePoint:
 
     Idempotent and invariant under scaling by any nonzero rational.
     """
-    fracs = [Fraction(v) for v in values]
-    if not any(fracs):
+    ints, _d = common_denominator(values)
+    if not any(ints):
         raise ZeroVector("all projective coordinates are zero")
-    lcm = math.lcm(*(f.denominator for f in fracs))
-    ints = [int(f * lcm) for f in fracs]
     g = math.gcd(*ints)
     ints = [c // g for c in ints]
     first = next(c for c in ints if c != 0)
@@ -230,8 +236,7 @@ def make_quadratic(a: Rat, b: Rat, d: int):
     b *= s
     if d == 1:
         return a + b
-    c = math.lcm(a.denominator, b.denominator)
-    ai, bi = int(a * c), int(b * c)
+    (ai, bi), c = common_denominator((a, b))
     g = math.gcd(ai, bi, c)
     return QuadraticIrrational(ai // g, bi // g, d, c // g)
 
@@ -364,14 +369,19 @@ Triple = tuple[Fraction, Fraction, Fraction]
 
 
 def surface_defect(surface: str, p: Sequence[Rat], sigma: Rat = 0) -> Fraction:
-    """LHS minus RHS of the selected surface equation; zero iff on surface."""
-    x, y, z = (Fraction(v) for v in p)
+    """LHS minus RHS of the selected surface equation; zero iff on surface.
+
+    Computed in integers: with (x, y, z) = (X, Y, Z)/d the cubic is
+    num/d^3, num = Q(X, Y, Z)*d - kappa*XYZ.
+    """
+    (X, Y, Z), d = common_denominator(p)
     if surface == "fricke":
-        defect = x * x + y * y + z * z - 3 * x * y * z
+        num = (X * X + Y * Y + Z * Z) * d - 3 * X * Y * Z
     elif surface == "double":
-        defect = (x + y + z) ** 2 - 9 * x * y * z
+        num = (X + Y + Z) ** 2 * d - 9 * X * Y * Z
     else:
         raise ValueError(f"unknown surface id: {surface!r}")
+    defect = Fraction(num, d * d * d)
     return defect - Fraction(sigma) if sigma else defect
 
 

@@ -22,6 +22,7 @@ from .exact import (
     SingularPoint,
     Surface,
     ZeroArgument,
+    common_denominator,
     normalize_projective,
     surface_defect,
 )
@@ -176,22 +177,30 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     the answer lives on a line at infinity and is projectivized.  With B
     the bilinear form of Q, x = (kappa*(ank + bcm) - 2*(B(p, q) - sigma))
     / (kappa*(b - n)*(c - k)), and y, z follow by symmetry.
+
+    The law is computed in integers: p = (A, B, C)/d1, q = (M, N, K)/d2
+    and sigma = sn/sd, with numerator and denominator of x multiplied by
+    sd*d1^2*d2^2, so each coordinate is one Fraction of two integers.
     """
     if p.surface != q.surface:
         raise ValueError("operands live on different surfaces")
-    (a, b, c), (m, n, k) = p.coords, q.coords
-    if (a, b, c) == (m, n, k):
+    if p.coords == q.coords:
         return Undefined(UNDEFINED_COINCIDENT)
     if p.is_origin or q.is_origin:
         return Undefined(UNDEFINED_ORIGIN)
-    da, db, dc = a - m, b - n, c - k
+    s = p.surface
+    (a, b, c), d1 = common_denominator(p.coords)
+    (m, n, k), d2 = common_denominator(q.coords)
+    # (p - q)*d1*d2: zero exactly where the coordinate differences are
+    da, db, dc = a * d2 - m * d1, b * d2 - n * d1, c * d2 - k * d1
     if da and db and dc:
-        s = p.surface
-        kappa = s.kappa
-        w = 2 * (s.bilinear(p.coords, q.coords) - s.sigma)
-        x = (kappa * (a * n * k + b * c * m) - w) / (kappa * db * dc)
-        y = (kappa * (b * m * k + a * c * n) - w) / (kappa * da * dc)
-        z = (kappa * (c * m * n + a * b * k) - w) / (kappa * da * db)
+        sn, sd = s.sigma.numerator, s.sigma.denominator
+        d12 = d1 * d2
+        ks = s.kappa * sd
+        w = 2 * d12 * (sd * s.bilinear((a, b, c), (m, n, k)) - sn * d12)
+        x = Fraction(ks * (a * n * k * d1 + b * c * m * d2) - w, ks * db * dc)
+        y = Fraction(ks * (b * m * k * d1 + a * c * n * d2) - w, ks * da * dc)
+        z = Fraction(ks * (c * m * n * d1 + a * b * k * d2) - w, ks * da * db)
         return Finite(type(p)(x, y, z, s))
     # the line meets the surface again at infinity: when a = m the third
     # point is [0 : b-n : c-k : 0], and the other vanishing patterns follow

@@ -22,6 +22,7 @@ from .exact import (
     Rat,
     Slope,
     Surface,
+    common_denominator,
     is_rational_square,
     slope_between,
     sqrt_exact,
@@ -176,12 +177,20 @@ def _power(which: str, n0: Fraction, r: int):
     return _mat_pow(_MATRICES[which](3 * n0.numerator, q), r), q**r
 
 
+def _fricke_only(frame: SectionFrame) -> None:
+    """The table is the Fricke one (the Vieta move in z does not involve
+    sigma); on another surface its images leave the section."""
+    name = frame.surface.name
+    if name != "fricke":
+        raise DomainError(f"dihedral transforms act on Fricke sections, not on the {name} surface")
+
+
 def _apply(frame: SectionFrame, p: SectionPoint, which: str, r: int) -> SectionPoint:
+    _fricke_only(frame)
     ((a, b), (c, d)), scale = _power(which, frame.n0, r)
     # (m, k) = (u, v)/den over a common denominator: one Fraction per coordinate
-    m, k = p.x, p.z
-    u, v = m.numerator * k.denominator, k.numerator * m.denominator
-    den = scale * m.denominator * k.denominator
+    (u, v), den = common_denominator(p.xy)
+    den *= scale
     return SectionPoint(Fraction(a * u + b * v, den), Fraction(c * u + d * v, den), frame)
 
 
@@ -224,6 +233,7 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
     ceil(3*n0 : 3*n0 : ...) converging to the larger point at infinity."""
     if r < 1:
         raise IndexZero("convergents are indexed from 1")
+    _fricke_only(frame)
     matrix, _scale = _power("TA", frame.n0, r)
     return Fraction(matrix[0][0], matrix[1][0])
 

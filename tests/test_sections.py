@@ -20,6 +20,7 @@ from frickelab import (
     solve_z,
     ta_power,
 )
+from frickelab.fricke import FrickeSurface
 from frickelab.sections import IndexZero, OffSection, tangent_slope
 
 FRAMES = [(1, 1, 1), (1, 1, 2), (1, 2, 5), (2, 5, 29)]
@@ -289,3 +290,34 @@ class TestClosedFormPowers:
                     assert slope_between(O.xy, orbit[r].xy) == slope_between(
                         orbit[1].xy, orbit[r - 1].xy
                     )
+
+
+class TestFrickeOnlyTransforms:
+    # (1, 4, 25) lies on the double surface: (1 + 4 + 25)^2 = 900 = 9*1*4*25
+    DOUBLE_FRAME = (1, 4, 25, DOUBLE)
+
+    def test_dihedral_rejects_double_frame(self):
+        fr = SectionFrame(*self.DOUBLE_FRAME)
+        with pytest.raises(DomainError, match="double surface"):
+            dihedral(fr, fr.origin, "A")
+
+    def test_ta_power_rejects_double_frame(self):
+        fr = SectionFrame(*self.DOUBLE_FRAME)
+        with pytest.raises(DomainError, match="double surface"):
+            ta_power(fr, fr.origin, 2)
+
+    def test_cf_convergent_rejects_double_frame(self):
+        # it used to return the Fricke value 1704/143 of n0 = 4
+        fr = SectionFrame(*self.DOUBLE_FRAME)
+        with pytest.raises(DomainError, match="double surface"):
+            cf_convergent(fr, 3)
+
+    def test_sigma_shifted_fricke_frame_accepted(self):
+        # 1 + 4 + 9 - 3*1*2*3 = -4; the Vieta move in z does not involve sigma
+        fr = SectionFrame(1, 2, 3, FrickeSurface(-4))
+        assert dihedral(fr, fr.origin, "A").xy == (1, 3)
+        q = fr.origin
+        for r in range(1, 6):
+            q = dihedral(fr, q, "TA")
+            assert ta_power(fr, fr.origin, r).xy == q.xy
+        assert cf_convergent(fr, 2) == cf_convergent(SectionFrame(1, 2, 1), 2)
