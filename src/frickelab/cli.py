@@ -122,8 +122,8 @@ def build_parser() -> argparse.ArgumentParser:
     top.set_defaults(surface="fricke")  # dihedral, ta-power, convergent: Fricke sections
     sub = top.add_subparsers(dest="command", required=True)
 
-    def surface_opt(p, default="fricke"):
-        p.add_argument("--surface", choices=("fricke", "double"), default=default)
+    def surface_opt(p):
+        p.add_argument("--surface", choices=("fricke", "double"), default="fricke")
 
     p = sub.add_parser("compose", help="secant composition of two surface points")
     surface_opt(p)

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .exact import DOUBLE, DomainError, Rat, Surface, surface_defect
+from .exact import DOUBLE, FRICKE, DomainError, Rat, Surface
 from .fricke import (
     OffSurface,
     SurfacePoint,
@@ -87,7 +87,7 @@ def nielsen(p: F2Point, generator: str) -> F2Point:
 def square_lift(triple: tuple[int, int, int]) -> F2Point:
     """(m,n,k) on the Fricke surface -> (m^2, n^2, k^2) on the double."""
     m, n, k = triple
-    if surface_defect("fricke", (m, n, k)) != 0:
+    if FRICKE.defect((m, n, k)) != 0:
         raise OffSurface(f"{triple} is not a Markov triple")
     return F2Point(m * m, n * n, k * k)
 
@@ -107,10 +107,9 @@ def sqrt_descend(p: F2Point) -> tuple[int, int, int]:
         if r * r != v.numerator:
             raise NotASquare(f"{v} is not a perfect square")
         out.append(r)
-    m, n, k = out
-    if surface_defect("fricke", (m, n, k)) != 0:
+    if FRICKE.defect(out) != 0:
         raise NotASquare(f"roots {tuple(out)} do not form a Markov triple")
-    return (m, n, k)
+    return tuple(out)
 
 
 def f2_param_affine(P: Rat, Q: Rat) -> F2Point:

@@ -250,8 +250,8 @@ def sqrt_exact(q: Rat):
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
-    if q == 0:
-        return Fraction(0)
+    if is_rational_square(q):
+        return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
     # sqrt(p/q) = sqrt(p*q)/q
     return make_quadratic(0, Fraction(1, q.denominator), q.numerator * q.denominator)
 
@@ -335,10 +335,22 @@ class Surface:
             return self.kappa * u * v - 2 * (u + v) - w
         return self.kappa * u * v - w
 
+    def defect(self, p: Sequence[Rat]) -> Fraction:
+        """Q(p) - kappa*xyz - sigma, zero iff p lies on the surface: in
+        integers, (Q(X, Y, Z)*d - kappa*XYZ)/d^3 - sigma for p = (X, Y, Z)/d."""
+        (X, Y, Z), d = common_denominator(p)
+        defect = Fraction(self.quad(X, Y, Z) * d - self.kappa * X * Y * Z, d * d * d)
+        return defect - self.sigma if self.sigma else defect
+
+
+class _ByName(dict):
+    def __missing__(self, name):  # an unknown name is a ValueError, not a KeyError
+        raise ValueError(f"unknown surface id: {name!r}")
+
 
 FRICKE = Surface("fricke", 3, 0)
 DOUBLE = Surface("double", 9, 1)
-SURFACES = {s.name: s for s in (FRICKE, DOUBLE)}
+SURFACES = _ByName((s.name, s) for s in (FRICKE, DOUBLE))
 
 
 # ---------------------------------------------------------------------------
@@ -369,19 +381,8 @@ Triple = tuple[Fraction, Fraction, Fraction]
 
 
 def surface_defect(surface: str, p: Sequence[Rat], sigma: Rat = 0) -> Fraction:
-    """LHS minus RHS of the selected surface equation; zero iff on surface.
-
-    Computed in integers: with (x, y, z) = (X, Y, Z)/d the cubic is
-    num/d^3, num = Q(X, Y, Z)*d - kappa*XYZ.
-    """
-    (X, Y, Z), d = common_denominator(p)
-    if surface == "fricke":
-        num = (X * X + Y * Y + Z * Z) * d - 3 * X * Y * Z
-    elif surface == "double":
-        num = (X + Y + Z) ** 2 * d - 9 * X * Y * Z
-    else:
-        raise ValueError(f"unknown surface id: {surface!r}")
-    defect = Fraction(num, d * d * d)
+    """``Surface.defect`` of the named surface, minus sigma; zero iff on it."""
+    defect = SURFACES[surface].defect(p)
     return defect - Fraction(sigma) if sigma else defect
 
 

@@ -24,7 +24,6 @@ from .exact import (
     ZeroArgument,
     common_denominator,
     normalize_projective,
-    surface_defect,
 )
 
 
@@ -58,8 +57,7 @@ class SurfacePoint:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "y", Fraction(self.y))
         object.__setattr__(self, "z", Fraction(self.z))
-        s = self.surface
-        if surface_defect(s.name, (self.x, self.y, self.z), s.sigma) != 0:
+        if self.surface.defect(self.coords) != 0:
             raise OffSurface(f"({self.x}, {self.y}, {self.z}) is not on the surface")
 
     @property

@@ -26,7 +26,6 @@ from .exact import (
     is_rational_square,
     slope_between,
     sqrt_exact,
-    surface_defect,
 )
 
 
@@ -80,8 +79,7 @@ class SectionFrame:
         return (2 * s.cross - s.kappa * self.n0, 2 * s.cross * self.n0)
 
     def contains(self, x: Rat, z: Rat) -> bool:
-        s = self.surface
-        return surface_defect(s.name, (x, self.n0, z), s.sigma) == 0
+        return self.surface.defect((x, self.n0, z)) == 0
 
 
 @dataclass(frozen=True, slots=True)
@@ -110,7 +108,8 @@ def solve_z(frame: SectionFrame, x: Rat) -> list[SectionPoint]:
     x = Fraction(x)
     beta, gamma = frame.conic
     lin = beta * x + gamma
-    disc = lin * lin - 4 * (x * x + gamma * x + frame.n0 * frame.n0 - frame.surface.sigma)
+    # the constant term of the quadratic in z is the defect at z = 0
+    disc = lin * lin - 4 * frame.surface.defect((x, frame.n0, 0))
     if disc < 0 or not is_rational_square(disc):
         return []
     root = sqrt_exact(disc)
@@ -248,9 +247,9 @@ def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, mu: Slope):
     u^2*(1 + beta*mu + mu^2), with the gradient (C_x, C_z) taken at
     (x0, z0); a vertical line gives the other root in z by Vieta.
     """
-    beta, gamma = frame.conic
     if mu is AT_INFINITY:
-        return SectionPoint(x0, -(beta * x0 + gamma) - z0, frame)
+        return SectionPoint(x0, frame.surface.other_root(x0, frame.n0, z0), frame)
+    beta, gamma = frame.conic
     lead = 1 + beta * mu + mu * mu
     if lead == 0:
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import SURFACES, DomainError, surface_defect
+from .exact import SURFACES, DomainError, Surface
 
 
 class RootOffSurface(DomainError):
@@ -27,11 +27,9 @@ class CanonicalTriple:
     surface: str = "fricke"
 
     def __post_init__(self) -> None:
-        if self.surface not in SURFACES:
-            raise ValueError(f"unknown surface id: {self.surface!r}")
         if tuple(sorted(self.values)) != self.values:
             raise ValueError(f"{self.values} is not sorted")
-        if surface_defect(self.surface, self.values) != 0:
+        if SURFACES[self.surface].defect(self.values) != 0:
             raise RootOffSurface(f"{self.values} is not on {self.surface}")
 
     @property
@@ -40,7 +38,11 @@ class CanonicalTriple:
 
 
 def canonical(values, surface: str = "fricke") -> CanonicalTriple:
-    return CanonicalTriple(tuple(sorted(int(v) for v in values)), surface)
+    """The sorted triple of integral values; a fractional entry is a DomainError."""
+    values = tuple(values)
+    if any(int(v) != v for v in values):
+        raise DomainError(f"root {', '.join(map(str, values))} has a non-integral entry")
+    return CanonicalTriple(tuple(sorted(map(int, values))), surface)
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +53,7 @@ class TreeNode:
     parent: int | None = None  # position of the parent node in generate's list
 
 
-def _children(surface: str, t: tuple[int, int, int]):
-    s = SURFACES[surface]
+def _children(s: Surface, t: tuple[int, int, int]):
     a, b, c = t
     yield (s.other_root(b, c, a), b, c), "x"
     yield (a, s.other_root(a, c, b), c), "y"
@@ -84,6 +85,7 @@ def generate(
 
     if not admitted(root.values):
         return []
+    s = SURFACES[surface]
     out = [TreeNode(root, None, 0)]
     seen = {root.values}
     frontier = [0]  # positions in ``out`` of the previous level
@@ -92,7 +94,7 @@ def generate(
         level += 1
         emitted = []
         for parent in frontier:
-            for child, label in _children(surface, out[parent].triple.values):
+            for child, label in _children(s, out[parent].triple.values):
                 canon = tuple(sorted(child))
                 if canon in seen or not admitted(canon):
                     continue

@@ -201,6 +201,7 @@ class TestExitContract:
             ["negative-tree", "--n", "0", "--depth", "2"],
             ["compose", "1/0,1,1", "1,1,1"],
             ["infinity", "--surface", "double", "--frame=-1/9,1/9,-1/9"],
+            ["tree", "--root", "3/2,1,1", "--depth", "1"],
         ],
     )
     def test_bad_input_exits_without_traceback(self, capsys, argv):

@@ -107,6 +107,16 @@ class TestQuadraticIrrational:
         assert is_rational_square(Fraction(49, 64))
         assert not is_rational_square(41)
 
+    def test_sqrt_exact_of_square_skips_factoring(self, monkeypatch):
+        def no_factoring(n):
+            raise AssertionError("sqrt_exact factored a rational square")
+
+        monkeypatch.setattr("frickelab.exact._square_part", no_factoring)
+        prime = 2**61 - 1
+        root = sqrt_exact(Fraction(prime * prime, 49))
+        assert type(root) is Fraction and root == Fraction(prime, 7)
+        assert sqrt_exact(0) == 0 and type(sqrt_exact(0)) is Fraction
+
 
 class TestSlope:
     def test_finite(self):

@@ -21,6 +21,7 @@ from frickelab import (
     param_affine,
     surface_defect,
 )
+from frickelab.exact import SURFACES
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -91,3 +92,5 @@ def test_surface_defect_matches_polynomial(name, triple, sigma):
     assert defect == plain_defect(name, triple, sigma)
     # the shifted surface through the triple
     assert surface_defect(name, triple, plain_defect(name, triple, 0)) == 0
+    # the record subtracts its own sigma
+    assert replace(SURFACES[name], sigma=sigma).defect(triple) == plain_defect(name, triple, sigma)

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from conftest import section_point_pool
 from frickelab import (
     DOUBLE,
+    FRICKE,
     DomainError,
     SectionFrame,
     SectionPoint,
@@ -51,6 +53,21 @@ class TestSolveZ:
 
     def test_no_rational_root(self):
         assert solve_z(frame(), 3) == []
+
+    def test_square_root_needs_no_factoring(self, monkeypatch):
+        # the discriminant at the x of n*P is a rational square of ~2x the
+        # bits of x; its root comes from isqrt, never from trial division
+        def no_factoring(n):
+            raise AssertionError("sqrt_exact factored a rational square")
+
+        monkeypatch.setattr("frickelab.exact._square_part", no_factoring)
+        f = frame((1, 5, 2))
+        p = SectionPoint(13, 1, f)
+        multiple = p
+        for _ in range(14):
+            multiple = quadric_add(f, multiple, p)
+            assert multiple.xy in [q.xy for q in solve_z(f, multiple.x)]
+        assert multiple.x.numerator.bit_length() > 50
 
 
 class TestInfinityPoints:
@@ -194,6 +211,25 @@ class TestGroupLaw:
         for triple in FRAMES:
             fr = frame(triple)
             assert quadric_inverse(fr, fr.origin).xy == fr.origin.xy
+
+    def test_vertical_chord_on_shifted_frames(self):
+        # two points on one vertical line sum to the second point of O's
+        # vertical line: the root of the quadratic in z beside k0
+        cases = [
+            (FRICKE, (1, 2, 4)),
+            (FRICKE, (Fraction(2, 3), 5, Fraction(-1, 2))),
+            (DOUBLE, (2, 1, 1)),
+            (DOUBLE, (Fraction(1, 2), -3, 4)),
+        ]
+        for surface, triple in cases:
+            fr = SectionFrame(*triple, replace(surface, sigma=surface.defect(triple)))
+            expected = next(q for q in solve_z(fr, fr.m0) if q.xy != fr.origin.xy)
+            acc = expected
+            for _ in range(8):
+                acc = quadric_add(fr, acc, expected)
+                for partner in solve_z(fr, acc.x):
+                    if partner.xy != acc.xy:
+                        assert quadric_add(fr, acc, partner).xy == expected.xy
 
     def test_group_axioms(self, rng):
         for triple in FRAMES:

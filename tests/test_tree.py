@@ -1,9 +1,12 @@
+from fractions import Fraction
+
 import pytest
 
 from frickelab import (
     DOUBLE_ROOT,
     MARKOV_ROOT,
     CanonicalTriple,
+    DomainError,
     canonical,
     frobenius_scan,
     fundamental_point,
@@ -27,6 +30,18 @@ class TestCanonicalTriple:
             canonical((1, 2, 3))
         with pytest.raises(RootOffSurface):
             canonical((1, 2, 5), "double")
+
+    def test_non_integral_entry_rejected(self):
+        # int() would truncate these to (1, 1, 1) and (1, 2, 5)
+        with pytest.raises(DomainError):
+            canonical((Fraction(3, 2), 1, 1))
+        with pytest.raises(DomainError):
+            canonical((Fraction(29, 10), 5, 1))
+        assert canonical((Fraction(5), 1, Fraction(2))).values == (1, 2, 5)
+
+    def test_unknown_surface_rejected(self):
+        with pytest.raises(ValueError, match="unknown surface id"):
+            CanonicalTriple((1, 1, 1), "cayley")
 
 
 class TestGenerate:
