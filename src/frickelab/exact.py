@@ -129,15 +129,28 @@ def parse_projective(text: str) -> ProjectivePoint:
 
 
 def _square_part(n: int) -> int:
-    """Largest s with s**2 | n (n > 0)."""
+    """Largest s with s**2 | n (n > 0).
+
+    Exact for every n, in O(n**(1/3)) trial divisions (Cohen, GTM 138,
+    sections 1.7 and 8.3): each k is divided out completely while k**3 is
+    at most the cofactor, so when the loop stops every prime factor of the
+    cofactor exceeds its cube root and the cofactor is 1, p, p*q or p**2,
+    with a square factor exactly when it is a perfect square.  That is
+    still exponential in the bit length of n: no polynomial-time
+    squarefree test is known.
+    """
     s = 1
     k = 2
-    while k * k <= n:
-        while n % (k * k) == 0:
-            n //= k * k
-            s *= k
-        k += 1
-    return s
+    while k * k * k <= n:
+        if n % k == 0:
+            e = 0
+            while n % k == 0:
+                n //= k
+                e += 1
+            s *= k ** (e // 2)
+        k += 1 if k == 2 else 2
+    r = math.isqrt(n)
+    return s * r if r * r == n else s
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +160,11 @@ class QuadraticIrrational:
     Invariants: c > 0, gcd(a, b, c) == 1.  The minimal integer quadratic
     A*t**2 + B*t + C with this value as a root is available from
     :meth:`minimal_quadratic`.
+
+    Every instance checks its own radicand with :func:`_square_part`: exact
+    for every d, in O(d**(1/3)) divisions, which is still exponential in
+    the bit length of d.  Arithmetic between values that share d keeps d
+    as it is instead of splitting it again.
     """
 
     a: int
@@ -190,9 +208,9 @@ class QuadraticIrrational:
             if other.d != self.d:
                 return NotImplemented
             oa, ob = other._parts()
-            return make_quadratic(ra + oa, rb + ob, self.d)
+            return _quadratic(ra + oa, rb + ob, self.d)
         if isinstance(other, (int, Fraction)):
-            return make_quadratic(ra + other, rb, self.d)
+            return _quadratic(ra + other, rb, self.d)
         return NotImplemented
 
     __radd__ = __add__
@@ -212,9 +230,9 @@ class QuadraticIrrational:
             if other.d != self.d:
                 return NotImplemented
             oa, ob = other._parts()
-            return make_quadratic(ra * oa + rb * ob * self.d, ra * ob + rb * oa, self.d)
+            return _quadratic(ra * oa + rb * ob * self.d, ra * ob + rb * oa, self.d)
         if isinstance(other, (int, Fraction)):
-            return make_quadratic(ra * other, rb * other, self.d)
+            return _quadratic(ra * other, rb * other, self.d)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -233,9 +251,15 @@ def make_quadratic(a: Rat, b: Rat, d: int):
         return a
     s = _square_part(d)
     d //= s * s
-    b *= s
     if d == 1:
-        return a + b
+        return a + b * s
+    return _quadratic(a, b * s, d)
+
+
+def _quadratic(a: Fraction, b: Fraction, d: int):
+    """(a + b*sqrt(d)) for a squarefree d > 1: a Fraction when b == 0."""
+    if b == 0:
+        return a
     (ai, bi), c = common_denominator((a, b))
     g = math.gcd(ai, bi, c)
     return QuadraticIrrational(ai // g, bi // g, d, c // g)
@@ -250,10 +274,14 @@ def sqrt_exact(q: Rat):
     q = Fraction(q)
     if q < 0:
         raise ValueError("negative radicand")
-    if is_rational_square(q):
-        return Fraction(math.isqrt(q.numerator), math.isqrt(q.denominator))
-    # sqrt(p/q) = sqrt(p*q)/q
-    return make_quadratic(0, Fraction(1, q.denominator), q.numerator * q.denominator)
+    # write q = n/e**2: sqrt(n/m) = sqrt(n*m)/m unless m is already a square
+    n, e = q.numerator, math.isqrt(q.denominator)
+    if e * e != q.denominator:
+        n, e = n * q.denominator, q.denominator
+    r = math.isqrt(n)
+    if r * r == n:
+        return Fraction(r, e)
+    return make_quadratic(0, Fraction(1, e), n)
 
 
 def is_rational_square(q: Rat) -> bool:

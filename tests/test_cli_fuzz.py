@@ -4,7 +4,9 @@ Every argv must end in exit 0, 1 or 2 and leave no traceback on stderr.
 The generator covers every subcommand, both surfaces and every
 ``--format``; it mixes valid inputs with malformed numbers and wrong
 arities.  Sizes stay small (r <= 40, depth <= 4, max-component <= 200,
-pairs <= 30) so that the whole corpus runs in a few seconds.
+pairs <= 30) so that the whole corpus runs in a few seconds.  After the
+seeded argv come points at infinity on one Markov frame per surface with
+n0 up to 195025, which trial division to the cube root makes affordable.
 """
 import contextlib
 import io
@@ -19,6 +21,11 @@ COUNT = 600
 BAD_NUMBERS = ["1/0", "abc", "", "1//2", "0x10", "nan", "inf", "-", "1/-2", "2/", "/3", "1,"]
 FRICKE_FRAMES = ["1,1,1", "1,2,5", "2,5,29", "1,5,2", "5,13,194", "15/4,-3/4,-6"]
 DOUBLE_FRAMES = ["1,4,25", "4,1,1", "-1/9,1/9,-1/9", "25/36,100/81,625/324"]
+# (m0, n0, k0) from Markov triples, and their squares on the double surface
+MARKOV_FRAMES = {
+    "fricke": ["2,195025,33461", "5,6466,433", "29,433,5", "1,89,34"],
+    "double": ["25,187489,841", "1,7921,1156", "4,841,25"],
+}
 
 
 def number(rng: random.Random) -> str:
@@ -146,6 +153,9 @@ def fuzz_argv(seed: int = SEED, count: int = COUNT) -> list[list[str]]:
         if rng.random() < 0.05:  # drop one argument: a wrong arity at the argv level
             del argv[rng.randrange(len(argv))]
         corpus.append(argv)
+    for surface in ("fricke", "double"):  # drawn last: the argv above keep their draws
+        frame = rng.choice(MARKOV_FRAMES[surface])
+        corpus.append(["infinity", "--surface", surface, f"--frame={frame}"])
     return corpus
 
 

@@ -1,3 +1,6 @@
+import itertools
+import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,13 +20,18 @@ from frickelab import (
     sqrt_exact,
     surface_defect,
 )
+from frickelab import exact
 from frickelab.exact import (
     AT_INFINITY,
     CoincidentPoints,
     OriginOperand,
     ZeroVector,
+    _square_part,
     is_rational_square,
 )
+from frickelab.sections import SectionFrame, infinity_points
+
+PRIMES = (1009, 7919, 104729, 1299709, 15485863)
 
 
 class TestNormalizeProjective:
@@ -116,6 +124,82 @@ class TestQuadraticIrrational:
         root = sqrt_exact(Fraction(prime * prime, 49))
         assert type(root) is Fraction and root == Fraction(prime, 7)
         assert sqrt_exact(0) == 0 and type(sqrt_exact(0)) is Fraction
+
+    def test_radicand_normalized_past_the_cube_root(self):
+        t = make_quadratic(0, 1, 1299709**2 * 15485863)
+        assert (t.a, t.b, t.d, t.c) == (0, 1299709, 15485863, 1)
+
+    def test_square_factor_above_the_cube_root_rejected(self):
+        with pytest.raises(ValueError):
+            QuadraticIrrational(1, 1, 1299709**2 * 2, 1)
+
+    def test_squarefree_semiprime_accepted(self):
+        d = 1299709 * 15485863
+        assert QuadraticIrrational(1, 1, d, 1).d == d
+
+
+def counting_square_part(monkeypatch) -> list[int]:
+    """Wrap exact._square_part; the returned list records each argument."""
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return _square_part(n)
+
+    monkeypatch.setattr(exact, "_square_part", counted)
+    return calls
+
+
+class TestRadicandCarried:
+    def test_arithmetic_checks_only_the_result(self, monkeypatch):
+        x = make_quadratic(1, 2, 5)
+        y = make_quadratic(3, -1, 5)
+        calls = counting_square_part(monkeypatch)
+        for result in (lambda: x + y, lambda: x * y, lambda: x * Fraction(1, 2), lambda: -x):
+            calls.clear()
+            assert isinstance(result(), QuadraticIrrational)
+            assert calls == [5]  # the result's own __post_init__
+
+    def test_infinity_points_call_count(self, monkeypatch):
+        calls = counting_square_part(monkeypatch)
+        infinity_points(SectionFrame(2, 195025, 33461))
+        assert len(calls) == 7
+
+    def test_square_denominator_keeps_the_numerator_radicand(self, monkeypatch):
+        calls = counting_square_part(monkeypatch)
+        root = sqrt_exact(Fraction(20, 49))  # sqrt(20)/7 = 2*sqrt(5)/7
+        assert (root.a, root.b, root.d, root.c) == (0, 2, 5, 7)
+        assert calls[0] == 20
+
+
+def naive_square_part(n: int) -> int:
+    """Largest s with s**2 | n, by trying every s up to sqrt(n)."""
+    return max(s for s in range(1, math.isqrt(n) + 1) if n % (s * s) == 0)
+
+
+class TestSquarePart:
+    def test_every_small_n(self):
+        assert [n for n in range(1, 10**5) if _square_part(n) != naive_square_part(n)] == []
+
+    def test_structured_products(self):
+        # products of listed primes, with factors on both sides of the
+        # cofactor's cube root (p**3 sits on it), times a small cofactor m
+        # coprime to them, whose square part comes from the naive scan
+        rng = random.Random(20261018)
+        cases = [(p, 1) for p in PRIMES] + [(p**2, p) for p in PRIMES]
+        # 15485863**3 alone walks k through ~7.7 million odd trial divisors
+        cases += [(p**3, p) for p in PRIMES[:-1]]
+        for p, q in rng.sample(list(itertools.permutations(PRIMES, 2)), 8):
+            cases += [(p * q, 1), (p**2 * q, p), (p**2 * q**2, p * q)]
+        for n, s in cases:
+            m = rng.randrange(1, 1000)
+            assert _square_part(m * n) == naive_square_part(m) * s, (m, n)
+
+    def test_powers_of_two_and_three(self):
+        for e in range(200):
+            assert _square_part(2**e) == 2 ** (e // 2)
+            assert _square_part(3**e) == 3 ** (e // 2)
+            assert _square_part(2**e * 3 ** (e % 7)) == 2 ** (e // 2) * 3 ** (e % 7 // 2)
 
 
 class TestSlope:

@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 from fractions import Fraction
 
@@ -22,6 +23,7 @@ from frickelab import (
     solve_z,
     ta_power,
 )
+from frickelab.cli import run
 from frickelab.fricke import FrickeSurface
 from frickelab.sections import IndexZero, OffSection, tangent_slope
 
@@ -86,6 +88,40 @@ class TestInfinityPoints:
             n0 = fr.n0
             for t in infinity_points(fr):
                 assert t * t - 3 * n0 * t + 1 == 0
+
+    @pytest.mark.parametrize(
+        "triple, surface",
+        [((2, 195025, 33461), FRICKE), ((169, 7453378, 14701), FRICKE), ((25, 187489, 841), DOUBLE)],
+        ids=["fricke-195025", "fricke-7453378", "double-187489"],
+    )
+    def test_markov_frames_scale(self, triple, surface):
+        # the time bound catches a return to O(sqrt D) trial division, which
+        # takes 1.5 s and 15.5 s on the two Fricke frames
+        fr = SectionFrame(*triple, surface)
+        beta, _gamma = fr.conic
+        start = time.perf_counter()
+        lo, hi = infinity_points(fr)
+        assert time.perf_counter() - start < 0.5
+        assert lo + hi == -beta
+        assert lo * hi == 1
+
+    @pytest.mark.parametrize(
+        "argv, out",
+        [
+            (
+                ["infinity", "--frame=2,195025,33461"],
+                '{"result": ["(585075-1\\u221a342312755621)/2", "(585075+1\\u221a342312755621)/2"]}\n',
+            ),
+            (
+                ["infinity", "--surface", "double", "--frame=25,187489,841"],
+                '{"result": ["(1687399-1299\\u221a1687397)/2", "(1687399+1299\\u221a1687397)/2"]}\n',
+            ),
+        ],
+        ids=["fricke-195025", "double-187489"],
+    )
+    def test_markov_frame_cli_bytes(self, capsys, argv, out):
+        assert run(argv) == 0
+        assert capsys.readouterr().out == out
 
     def test_ellipse_section_is_a_domain_error(self):
         # on the double surface, 0 < n0 < 4/9 gives beta^2 < 4: no real asymptotes
