@@ -209,8 +209,17 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+class CheckFailed(Exception):
+    """A law disagreed with the line-cubic oracle in ``check``."""
+
+
 def _run_check(seed: int, pairs: int) -> dict:
-    """Randomized oracle-equivalence check on both surfaces."""
+    """Randomized oracle-equivalence check on both surfaces.
+
+    Each composition of two distinct chart points must agree with the
+    oracle: a Finite point lies at the oracle's parameter, an Infinite one
+    answers a degenerate cubic, and an Undefined one is always a mismatch.
+    """
     rng = random.Random(seed)
 
     def rand_rat():
@@ -231,8 +240,20 @@ def _run_check(seed: int, pairs: int) -> dict:
             res = fricke.compose(a, b)
             oracle = line_third_intersection(a.coords, b.coords, surface)
             if isinstance(res, fricke.Finite):
-                assert oracle is not DEGENERATE_CUBIC
-                assert line_point(a.coords, b.coords, oracle.t) == res.point.coords
+                ok = (
+                    oracle is not DEGENERATE_CUBIC
+                    and line_point(a.coords, b.coords, oracle.t) == res.point.coords
+                )
+            else:  # Undefined never fits two distinct chart points
+                ok = isinstance(res, fricke.Infinite) and oracle is DEGENERATE_CUBIC
+            if not ok:
+                expected = oracle if oracle is DEGENERATE_CUBIC else f"t = {oracle.t}"
+                raise CheckFailed(
+                    f"check failed on the {surface} surface at the charts ({p1}, {q1})"
+                    f" and ({p2}, {q2}): compose gives"
+                    f" {json.dumps(_compose_payload(res), sort_keys=True)},"
+                    f" the line-cubic oracle {expected}"
+                )
         checked += 1
     return {"result": "ok", "seed": seed, "pairs-checked": checked}
 
@@ -326,7 +347,7 @@ def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         out = HANDLERS[args.command](args)
-    except DomainError as exc:
+    except (DomainError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     if isinstance(out, str):

@@ -414,18 +414,18 @@ def surface_defect(surface: str, p: Sequence[Rat], sigma: Rat = 0) -> Fraction:
     return defect - Fraction(sigma) if sigma else defect
 
 
-def _poly_mul(f: list[Fraction], g: list[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return out
-
-
 def line_point(p: Sequence[Rat], q: Sequence[Rat], t: Rat) -> Triple:
-    """Evaluate the line Q + t*(P - Q) at parameter t."""
+    """Evaluate the line Q + t*(P - Q) at parameter t.
+
+    In integers: with p = P/d, q = Q/d over one denominator d and
+    t = tn/td, coordinate i is (Q_i*td + tn*(P_i - Q_i)) / (td*d).
+    """
     t = Fraction(t)
-    return tuple(Fraction(qi) + t * (Fraction(pi) - Fraction(qi)) for pi, qi in zip(p, q))
+    tn, td = t.numerator, t.denominator
+    ints, d = common_denominator((*p, *q))
+    n = len(p)
+    den = td * d
+    return tuple(Fraction(qi * td + tn * (pi - qi), den) for pi, qi in zip(ints[:n], ints[n:]))
 
 
 def line_third_intersection(
@@ -437,43 +437,50 @@ def line_third_intersection(
     substituted cubic; the remaining root is returned.  When the cubic's
     leading coefficient vanishes (the line meets the surface again only at
     infinity) the DEGENERATE_CUBIC flag is returned instead.
-    """
-    pf = tuple(Fraction(v) for v in p)
-    qf = tuple(Fraction(v) for v in q)
-    if pf == qf:
-        raise CoincidentPoints(f"{p} == {q}")
-    if not any(pf) or not any(qf):
-        raise OriginOperand("the surface origin has no secant composition")
-    for pt in (pf, qf):
-        if surface_defect(surface, pt, sigma) != 0:
-            raise OffSurface(f"{pt} is not on {surface}")
 
-    # each coordinate is linear in t: [constant, slope]
-    lx, ly, lz = ([qi, pi - qi] for pi, qi in zip(pf, qf))
+    The cubic is built in integers: with p = (a, b, c)/D and q = u/D over
+    one denominator D and sigma = sn/sd, the line is (u + t*v)/D with
+    v = (a, b, c) - u, and the surface polynomial on it is multiplied by
+    sd*D**3.
+    """
+    (a, b, c, u1, u2, u3), D = common_denominator((*p, *q))
+    if (a, b, c) == (u1, u2, u3):
+        raise CoincidentPoints(f"{p} == {q}")
+    if not (a or b or c) or not (u1 or u2 or u3):
+        raise OriginOperand("the surface origin has no secant composition")
+    sigma = Fraction(sigma)
+    for pt in (p, q):
+        if surface_defect(surface, pt, sigma) != 0:
+            raise OffSurface(f"{tuple(map(Fraction, pt))} is not on {surface}")
+
+    # Q(u + t*v) by powers of t, from each surface's own quadratic form
+    v1, v2, v3 = a - u1, b - u2, c - u3
     if surface == "fricke":
-        poly = [Fraction(0)] * 4
-        for lin in (lx, ly, lz):
-            sq = _poly_mul(lin, lin)
-            for i, c in enumerate(sq):
-                poly[i] += c
-        cube = _poly_mul(_poly_mul(lx, ly), lz)
-        for i, c in enumerate(cube):
-            poly[i] -= 3 * c
-        poly[0] -= Fraction(sigma)
+        kappa = 3
+        q0 = u1 * u1 + u2 * u2 + u3 * u3
+        q1 = 2 * (u1 * v1 + u2 * v2 + u3 * v3)
+        q2 = v1 * v1 + v2 * v2 + v3 * v3
     elif surface == "double":
-        s = [lx[0] + ly[0] + lz[0], lx[1] + ly[1] + lz[1]]
-        poly = [Fraction(0)] * 4
-        for i, c in enumerate(_poly_mul(s, s)):
-            poly[i] += c
-        for i, c in enumerate(_poly_mul(_poly_mul(lx, ly), lz)):
-            poly[i] -= 9 * c
-        poly[0] -= Fraction(sigma)
+        kappa = 9
+        su, sv = u1 + u2 + u3, v1 + v2 + v3
+        q0, q1, q2 = su * su, 2 * su * sv, sv * sv
     else:
         raise ValueError(f"unknown surface id: {surface!r}")
-
-    c0, c1, c2, c3 = poly
-    assert c0 == 0 and c0 + c1 + c2 + c3 == 0, "operands must be surface points"
+    # (u1 + t*v1)(u2 + t*v2)(u3 + t*v3) by powers of t
+    e0 = u1 * u2 * u3
+    e1 = v1 * u2 * u3 + u1 * v2 * u3 + u1 * u2 * v3
+    e2 = v1 * v2 * u3 + v1 * u2 * v3 + u1 * v2 * v3
+    e3 = v1 * v2 * v3
+    sn, sd = sigma.numerator, sigma.denominator
+    ks = kappa * sd
+    c0 = sd * D * q0 - ks * e0 - sn * D * D * D
+    c1 = sd * D * q1 - ks * e1
+    c2 = sd * D * q2 - ks * e2
+    c3 = -ks * e3
+    # c0 is sd*D**3 times the defect of q, and c0 + c1 + c2 + c3 that of p
+    if c0 != 0 or c0 + c1 + c2 + c3 != 0:
+        raise OffSurface(f"the line's cubic on {surface} does not vanish at both operands")
     if c3 == 0:
         return DEGENERATE_CUBIC
     # poly == c3 * t * (t - 1) * (t - t3)  =>  t3 = -(c2 + c3) / c3
-    return LineParameter(-(c2 + c3) / c3)
+    return LineParameter(Fraction(-(c2 + c3), c3))

@@ -95,7 +95,8 @@ class Infinite:
     point: ProjectivePoint
 
     def __post_init__(self) -> None:
-        assert self.point.coords[-1] == 0
+        if self.point.coords[-1] != 0:
+            raise ValueError(f"{self.point} is not on a line at infinity")
 
 
 @dataclass(frozen=True, slots=True)
@@ -150,12 +151,20 @@ def psi(p: ProjectivePoint) -> ProjectivePoint:
 
 
 def param_affine(P: Rat, Q: Rat) -> FrickePoint:
-    """The affine chart (P,Q) -> ((P^2+Q^2+1)/3Q, ./3P, ./3PQ)."""
+    """The affine chart (P,Q) -> ((P^2+Q^2+1)/3Q, ./3P, ./3PQ).
+
+    In integers: with P = a/b, Q = c/e and S = a^2e^2 + c^2b^2 + b^2e^2,
+    the point is (S/3cb^2e, S/3abe^2, S/3abce).
+    """
     P, Q = Fraction(P), Fraction(Q)
-    if P == 0 or Q == 0:
+    a, b, c, e = P.numerator, P.denominator, Q.numerator, Q.denominator
+    if a == 0 or c == 0:
         raise ZeroArgument("chart parameters must be nonzero")
-    s = P * P + Q * Q + 1
-    return FrickePoint(s / (3 * Q), s / (3 * P), s / (3 * P * Q))
+    be = b * e
+    S = (a * e) ** 2 + (c * b) ** 2 + be * be
+    return FrickePoint(
+        Fraction(S, 3 * c * b * be), Fraction(S, 3 * a * be * e), Fraction(S, 3 * a * c * be)
+    )
 
 
 def param_affine_inverse(p: FrickePoint) -> tuple[Fraction, Fraction]:

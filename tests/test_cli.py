@@ -5,6 +5,8 @@ import sys
 import pytest
 
 from frickelab.cli import run
+from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint
+from frickelab.fricke import Finite, Infinite, Undefined
 
 
 def invoke(capsys, *argv):
@@ -222,3 +224,49 @@ class TestCheckCoincidentSquares:
         # charts (P, Q) and (-P, -Q) give one double-surface point here
         payload = invoke_json(capsys, "check", "--seed", "459261", "--pairs", "18")
         assert payload == {"result": "ok", "seed": 459261, "pairs-checked": 18}
+
+
+class TestCheckMismatch:
+    """A law that disagrees with the oracle fails ``check`` with exit 1."""
+
+    @pytest.mark.parametrize(
+        "wrong",
+        [
+            pytest.param(lambda p, q: Finite(p), id="finite-at-an-operand"),
+            pytest.param(
+                lambda p, q: Infinite(ProjectivePoint((0, 1, 3, 0))), id="infinite-on-finite-pair"
+            ),
+            pytest.param(lambda p, q: Undefined("coincident-points"), id="undefined"),
+        ],
+    )
+    def test_wrong_law_exits_1(self, capsys, monkeypatch, wrong):
+        monkeypatch.setattr("frickelab.fricke.compose", wrong)
+        code, out, err = invoke(capsys, "check", "--seed", "7", "--pairs", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: check failed on the fricke surface at the charts (")
+        assert "Traceback" not in err
+
+    def test_finite_on_a_degenerate_pair_exits_1(self, capsys, monkeypatch):
+        # the oracle answers a degenerate cubic on every pair: no Finite fits
+        monkeypatch.setattr(
+            "frickelab.cli.line_third_intersection", lambda p, q, surface: DEGENERATE_CUBIC
+        )
+        code, _out, err = invoke(capsys, "check", "--seed", "7", "--pairs", "20")
+        assert code == 1
+        assert err.startswith("error: check failed") and "DEGENERATE_CUBIC" in err
+
+    def test_mismatch_exits_1_under_optimization(self, tmp_path):
+        # `python -O` drops assert statements; the check must still fail
+        script = (
+            "import sys\n"
+            "from frickelab import cli, fricke\n"
+            "fricke.compose = lambda p, q: fricke.Finite(p)\n"
+            "sys.exit(cli.run(['check', '--seed', '7', '--pairs', '20']))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-O", "-c", script], capture_output=True, text=True
+        )
+        assert proc.returncode == 1
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("error: check failed")

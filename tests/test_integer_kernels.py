@@ -1,9 +1,12 @@
-"""Property tests of the secant kernels, which compute in integers over one
-common denominator per point: ``compose`` against the line-cubic oracle
-and ``surface_defect`` against the surface polynomial in plain Fractions."""
+"""Property tests of the kernels that compute in integers over one common
+denominator per point: ``compose`` against the line-cubic oracle,
+``surface_defect`` against the surface polynomial in plain Fractions, and
+the oracle, ``line_point`` and the affine charts against Fraction
+transcriptions of their definitions written out here."""
 from dataclasses import replace
 from fractions import Fraction
 
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
@@ -11,8 +14,11 @@ from frickelab import (
     DEGENERATE_CUBIC,
     DOUBLE,
     FRICKE,
+    F2Point,
     Finite,
+    FrickePoint,
     Infinite,
+    LineParameter,
     SurfacePoint,
     compose,
     f2_param_affine,
@@ -20,8 +26,16 @@ from frickelab import (
     line_third_intersection,
     param_affine,
     surface_defect,
+    viete,
 )
-from frickelab.exact import SURFACES
+from frickelab.exact import (
+    SURFACES,
+    CoincidentPoints,
+    OffSurface,
+    OriginOperand,
+    ZeroArgument,
+)
+from frickelab.tree import canonical, generate
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -94,3 +108,233 @@ def test_surface_defect_matches_polynomial(name, triple, sigma):
     assert surface_defect(name, triple, plain_defect(name, triple, 0)) == 0
     # the record subtracts its own sigma
     assert replace(SURFACES[name], sigma=sigma).defect(triple) == plain_defect(name, triple, sigma)
+
+
+# -- the line-cubic oracle against its Fraction-polynomial definition ---------
+
+
+def poly_mul(f, g):
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] += fi * gj
+    return out
+
+
+def fraction_oracle(p, q, surface, sigma=0):
+    """The oracle in Fraction polynomials: substitute the line Q + t*(P - Q)
+    into the surface polynomial and deflate by the roots t = 0 and t = 1."""
+    pf = tuple(Fraction(v) for v in p)
+    qf = tuple(Fraction(v) for v in q)
+    if pf == qf:
+        raise CoincidentPoints(f"{p} == {q}")
+    if not any(pf) or not any(qf):
+        raise OriginOperand("origin")
+    for pt in (pf, qf):
+        if surface_defect(surface, pt, sigma) != 0:
+            raise OffSurface(f"{pt} is not on {surface}")
+    lx, ly, lz = ([qi, pi - qi] for pi, qi in zip(pf, qf))
+    if surface == "fricke":
+        kappa, squares = 3, [poly_mul(lin, lin) for lin in (lx, ly, lz)]
+    elif surface == "double":
+        total = [lx[0] + ly[0] + lz[0], lx[1] + ly[1] + lz[1]]
+        kappa, squares = 9, [poly_mul(total, total)]
+    else:
+        raise ValueError(f"unknown surface id: {surface!r}")
+    poly = [Fraction(0)] * 4
+    for sq in squares:
+        for i, c in enumerate(sq):
+            poly[i] += c
+    for i, c in enumerate(poly_mul(poly_mul(lx, ly), lz)):
+        poly[i] -= kappa * c
+    poly[0] -= Fraction(sigma)
+    c0, c1, c2, c3 = poly
+    assert c0 == 0 and c0 + c1 + c2 + c3 == 0
+    if c3 == 0:
+        return DEGENERATE_CUBIC
+    return LineParameter(-(c2 + c3) / c3)
+
+
+def outcome(fn, *args):
+    """The value fn returns, or the type of the exception it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+def assert_oracle_parity(p, q, surface, sigma=0):
+    got = outcome(line_third_intersection, p, q, surface, sigma)
+    assert got == outcome(fraction_oracle, p, q, surface, sigma)
+    if isinstance(got, LineParameter):
+        assert type(got.t) is Fraction
+    if not isinstance(got, type):
+        # the cubic loses its leading term exactly when the line is parallel
+        # to a coordinate plane: the operands share a coordinate
+        shared = any(Fraction(a) == Fraction(b) for a, b in zip(p, q))
+        assert (got is DEGENERATE_CUBIC) == shared
+    return got
+
+
+@KERNEL_SETTINGS
+@given(surfaces, chart_parameters, chart_parameters, chart_parameters, chart_parameters)
+def test_oracle_parity_on_tall_charts(surface, P1, Q1, P2, Q2):
+    chart = CHARTS[surface.name]
+    a, b = chart(P1, Q1), chart(P2, Q2)
+    assume(a != b)
+    assert_oracle_parity(a.coords, b.coords, surface.name)
+    # a Vieta neighbour keeps one coordinate in place: a degenerate cubic
+    for neighbour in (viete(a, "L"), viete(a, "R")):
+        if neighbour != a:
+            assert assert_oracle_parity(a.coords, neighbour.coords, surface.name) is (
+                DEGENERATE_CUBIC
+            )
+
+
+MARKOV = [node.triple.values for node in generate("fricke", canonical((1, 1, 1)), depth=5)]
+SIGNS = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
+
+
+@KERNEL_SETTINGS
+@given(
+    surfaces,
+    st.sampled_from(MARKOV),
+    st.sampled_from(MARKOV),
+    st.sampled_from(SIGNS),
+    chart_parameters,
+    chart_parameters,
+)
+def test_oracle_parity_on_int_operands(surface, m1, m2, signs, P, Q):
+    # integral points as ints: Markov triples with an even number of signs
+    # flipped on the Fricke surface, their squares on the double surface
+    if surface == DOUBLE:
+        a, b = tuple(v * v for v in m1), tuple(v * v for v in m2[::-1])
+    else:
+        a, b = m1, tuple(s * v for s, v in zip(signs, m2[::-1]))
+    chart = CHARTS[surface.name](P, Q).coords
+    assert_oracle_parity(a, b, surface.name)
+    assert_oracle_parity(a, chart, surface.name)
+    assert_oracle_parity(chart, tuple(map(Fraction, b)), surface.name)
+
+
+COORDINATE_KINDS = {
+    "int": integers,
+    "fraction": rationals,
+    "mixed": st.one_of(integers, rationals),
+}
+PERMUTATIONS = [(0, 1, 2), (1, 2, 0), (2, 0, 1), (1, 0, 2), (0, 2, 1), (2, 1, 0)]
+
+
+@KERNEL_SETTINGS
+@given(
+    surfaces,
+    st.sampled_from(sorted(COORDINATE_KINDS)).flatmap(
+        lambda kind: st.lists(COORDINATE_KINDS[kind], min_size=3, max_size=3, unique=True)
+    ),
+    st.sampled_from(PERMUTATIONS[3:]),
+)
+def test_oracle_parity_on_sigma_surfaces(surface, triple, transposition):
+    # the triple fixes sigma: integral on int triples (passed as an int),
+    # non-integral on almost every Fraction one; its permutations lie on the
+    # same sigma-surface, and a transposition keeps one coordinate
+    sigma = surface_defect(surface.name, triple)
+    if sigma.denominator == 1:
+        sigma = int(sigma)
+    x, y, z = triple
+    assert_oracle_parity(triple, (z, x, y), surface.name, sigma)
+    assert_oracle_parity(triple, tuple(triple[i] for i in transposition), surface.name, sigma)
+    # Vieta's move keeps two coordinates
+    assert_oracle_parity(triple, (x, y, surface.other_root(x, y, z)), surface.name, sigma)
+    # a composition's denominators differ from the operands'
+    surf = replace(surface, sigma=Fraction(sigma))
+    r = compose(SurfacePoint(x, y, z, surf), SurfacePoint(z, x, y, surf))
+    if isinstance(r, Finite):
+        assert_oracle_parity(r.point.coords, (y, z, x), surface.name, sigma)
+
+
+@KERNEL_SETTINGS
+@given(surfaces, chart_parameters, chart_parameters)
+def test_oracle_parity_at_sigma_zero_off_charts(surface, P, Q):
+    # sigma = 0 given as an int and as a Fraction, on the chart point and
+    # its coordinate permutations
+    a = CHARTS[surface.name](P, Q).coords
+    for perm in PERMUTATIONS[1:]:
+        b = tuple(a[i] for i in perm)
+        assert_oracle_parity(a, b, surface.name, 0)
+        assert_oracle_parity(a, b, surface.name, Fraction(0))
+
+
+@pytest.mark.parametrize(
+    "p, q, surface, sigma, expected",
+    [
+        ((0, 0, 0), (0, 0, 0), "fricke", 0, CoincidentPoints),
+        ((1, 1, 1), (Fraction(2, 2), 1, Fraction(1)), "nowhere", 0, CoincidentPoints),
+        ((1, 2, 3), (1, 2, 3), "double", 0, CoincidentPoints),
+        ((0, 0, 0), (1, 2, 3), "fricke", 0, OriginOperand),
+        ((1, 2, 3), (0, 0, 0), "double", 5, OriginOperand),
+        ((0, 0, 0), (1, 1, 1), "nowhere", 0, OriginOperand),
+        ((1, 1, 1), (1, 2, 3), "fricke", 0, OffSurface),
+        ((1, 2, 3), (1, 1, 1), "fricke", 0, OffSurface),
+        ((1, 1, 1), (1, 2, 5), "fricke", 1, OffSurface),
+        ((4, 1, 1), (1, 2, 5), "double", 0, OffSurface),
+        ((1, 1, 1), (1, 2, 5), "nowhere", 0, ValueError),
+    ],
+)
+def test_oracle_error_precedence(p, q, surface, sigma, expected):
+    with pytest.raises(expected) as exc:
+        line_third_intersection(p, q, surface, sigma)
+    assert type(exc.value) is expected
+    assert outcome(fraction_oracle, p, q, surface, sigma) is expected
+
+
+# -- line evaluation and the affine charts --------------------------------------
+
+
+def fraction_line_point(p, q, t):
+    t = Fraction(t)
+    return tuple(Fraction(qi) + t * (Fraction(pi) - Fraction(qi)) for pi, qi in zip(p, q))
+
+
+@KERNEL_SETTINGS
+@given(
+    st.sampled_from(sorted(COORDINATE_KINDS)).flatmap(
+        lambda kind: st.lists(COORDINATE_KINDS[kind], min_size=6, max_size=6)
+    ),
+    st.one_of(integers, rationals),
+)
+def test_line_point_parity(coords, t):
+    p, q = coords[:3], coords[3:]
+    got = line_point(p, q, t)
+    assert type(got) is tuple
+    assert all(type(v) is Fraction for v in got)
+    assert got == fraction_line_point(p, q, t)
+    assert line_point(p, q, 0) == tuple(map(Fraction, q))
+    assert line_point(p, q, Fraction(1)) == tuple(map(Fraction, p))
+
+
+def fraction_chart(P, Q):
+    P, Q = Fraction(P), Fraction(Q)
+    s = P * P + Q * Q + 1
+    return (s / (3 * Q), s / (3 * P), s / (3 * P * Q))
+
+
+@KERNEL_SETTINGS
+@given(st.one_of(nonzero, chart_parameters), st.one_of(nonzero, chart_parameters))
+def test_chart_parity(P, Q):
+    point = param_affine(P, Q)
+    assert type(point) is FrickePoint and point.surface == FRICKE
+    assert all(type(v) is Fraction for v in point.coords)
+    assert point.coords == fraction_chart(P, Q)
+    square = f2_param_affine(P, Q)
+    assert type(square) is F2Point and square.surface == DOUBLE
+    assert all(type(v) is Fraction for v in square.coords)
+    assert square.coords == tuple(v * v for v in fraction_chart(P, Q))
+
+
+@pytest.mark.parametrize(
+    "P, Q", [(0, 1), (1, 0), (0, 0), (Fraction(0), Fraction(-3, 2)), (Fraction(5, 7), Fraction(0))]
+)
+@pytest.mark.parametrize("chart", [param_affine, f2_param_affine])
+def test_chart_rejects_zero_parameter(chart, P, Q):
+    with pytest.raises(ZeroArgument):
+        chart(P, Q)
