@@ -7,13 +7,17 @@ x^2 + z^2 + beta*x*z + gamma*(x + z) + n0^2 - sigma = 0, with
 ``Surface`` record.  With a base point O = (m0, k0) it carries a
 commutative group law: A + B is the second intersection with the conic
 of the line through O parallel to the chord AB.  The module also covers
-the points at infinity (minus continued fractions), the dihedral integral
-transforms of the Fricke sections, and their Chebyshev-like closed forms.
+the points at infinity, the dihedral transforms of a section (the frame's
+own Vieta moves in x and in z, the swap, and B = -1 on Fricke sections),
+and their closed forms: the powers of TA and TC, b_r and the minus
+continued fraction convergents all read off one Lucas sequence
+U_r(-beta), computed in integers by doubling.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 from .exact import (
     AT_INFINITY,
@@ -99,6 +103,17 @@ class SectionPoint:
         return (self.x, self.z)
 
 
+_FRAME_VALUE = attrgetter("m0", "n0", "k0", "surface")
+
+
+def _on_frame(frame: SectionFrame, *points: SectionPoint) -> None:
+    """OffSection unless every point belongs to the frame; frames are
+    compared by value, so a frame and an equal one of a subclass agree."""
+    for p in points:
+        if p.frame is not frame and _FRAME_VALUE(p.frame) != _FRAME_VALUE(frame):
+            raise OffSection(f"({p.x}, {p.z}) is a point of another section frame")
+
+
 def solve_z(frame: SectionFrame, x: Rat) -> list[SectionPoint]:
     """All rational z with (x, z) on the section: 0, 1 or 2 points.
 
@@ -121,6 +136,14 @@ def solve_z(frame: SectionFrame, x: Rat) -> list[SectionPoint]:
     ]
 
 
+def _hyperbola_beta(frame: SectionFrame) -> Fraction:
+    """beta of the conic, or DomainError for an ellipse (beta^2 < 4)."""
+    beta, _gamma = frame.conic
+    if beta * beta < 4:
+        raise DomainError(f"beta^2 = {beta * beta} < 4: an ellipse has no real points at infinity")
+    return beta
+
+
 def infinity_points(frame: SectionFrame):
     """The two slopes at infinity: the roots of t^2 + beta*t + 1 = 0.
 
@@ -129,115 +152,113 @@ def infinity_points(frame: SectionFrame):
     to be a rational square.  Their sum is -beta and their product is 1.
     An ellipse (beta^2 < 4) has none: DomainError.
     """
-    beta, _gamma = frame.conic
-    if beta * beta < 4:
-        raise DomainError(f"beta^2 = {beta * beta} < 4: an ellipse has no real points at infinity")
+    beta = _hyperbola_beta(frame)
     root = sqrt_exact(beta * beta - 4)
     lo = (-beta - root) * Fraction(1, 2)
     hi = (-beta + root) * Fraction(1, 2)
     return (lo, hi)
 
 
-# -- dihedral transforms -------------------------------------------------------
+# -- dihedral transforms and their closed forms --------------------------------
 
-# The transforms A, TA, C, TC, B, T of the section y = n0 are 2x2 matrices on
-# the column (m, k), built from 1 and t = 3*n0; with n0 = p/q each is N/q for
-# the integer matrix N = make(3*p, q), so powers are taken in integers.
-_MATRICES = {
-    "A": lambda t, q: ((q, 0), (t, -q)),
-    "TA": lambda t, q: ((t, -q), (q, 0)),
-    "C": lambda t, q: ((-q, t), (0, q)),
-    "TC": lambda t, q: ((0, q), (-q, t)),
-    "B": lambda t, q: ((-q, 0), (0, -q)),
-    "T": lambda t, q: ((0, q), (q, 0)),
+# The transforms of the section y = n0 as maps of (x, z), made of the frame's
+# own Vieta moves: A in z, C in x, the swap T, and B = -1.
+_TRANSFORMS = {
+    "A": lambda s, n0, x, z: (x, s.other_root(x, n0, z)),
+    "TA": lambda s, n0, x, z: (s.other_root(x, n0, z), x),
+    "C": lambda s, n0, x, z: (s.other_root(z, n0, x), z),
+    "TC": lambda s, n0, x, z: (z, s.other_root(z, n0, x)),
+    "B": lambda s, n0, x, z: (-x, -z),
+    "T": lambda s, n0, x, z: (z, x),
 }
 
 
-def _mat_mul(x, y):
-    (a, b), (c, d) = x
-    (e, f), (g, h) = y
-    return ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-
-
-def _mat_pow(m, r: int):
-    """m^r by repeated squaring: O(log r) integer matrix products."""
-    if r == 0:
-        return ((1, 0), (0, 1))
-    half = _mat_pow(m, r // 2)
-    square = _mat_mul(half, half)
-    return _mat_mul(square, m) if r % 2 else square
-
-
-def _power(which: str, n0: Fraction, r: int):
-    """(N, scale) with N an integer matrix and N/scale the r-th power of the transform."""
-    if which not in _MATRICES:
-        raise ValueError(f"transform must be one of {tuple(_MATRICES)}, got {which!r}")
-    q = n0.denominator
-    return _mat_pow(_MATRICES[which](3 * n0.numerator, q), r), q**r
-
-
-def _fricke_only(frame: SectionFrame) -> None:
-    """The table is the Fricke one (the Vieta move in z does not involve
-    sigma); on another surface its images leave the section."""
-    name = frame.surface.name
-    if name != "fricke":
-        raise DomainError(f"dihedral transforms act on Fricke sections, not on the {name} surface")
-
-
-def _apply(frame: SectionFrame, p: SectionPoint, which: str, r: int) -> SectionPoint:
-    _fricke_only(frame)
-    ((a, b), (c, d)), scale = _power(which, frame.n0, r)
-    # (m, k) = (u, v)/den over a common denominator: one Fraction per coordinate
-    (u, v), den = common_denominator(p.xy)
-    den *= scale
-    return SectionPoint(Fraction(a * u + b * v, den), Fraction(c * u + d * v, den), frame)
+def _lucas(tau: Fraction, n: int) -> tuple[int, int]:
+    """(V_n, V_{n+1}) with V_n = q^(n-1)*U_n for tau = p/q, where U_0 = 0,
+    U_1 = 1 and U_{n+2} = tau*U_{n+1} - U_n: one doubling per bit of n,
+    V_2n = V_n*(2*V_{n+1} - p*V_n) and V_{2n+1} = V_{n+1}^2 - q^2*V_n^2."""
+    p, qq = tau.numerator, tau.denominator**2
+    v, w = 0, 1
+    for bit in bin(n)[2:]:
+        v, w = v * (2 * w - p * v), w * w - qq * (v * v)
+        if bit == "1":
+            v, w = w, p * w - qq * v
+    return v, w
 
 
 def dihedral(frame: SectionFrame, p: SectionPoint, which: str) -> SectionPoint:
-    """The integral transforms A, TA, C, TC, B, T of the section.
+    """The transforms A, TA, C, TC, B, T of the section.
 
     A and T are involutions, C = T*A*T, and <A, T> is the infinite
-    dihedral group; every image of an integral point is integral.
+    dihedral group; every image of an integral point is integral.  B
+    keeps only the Fricke sections: elsewhere its image is OffSection.
     """
-    return _apply(frame, p, which, 1)
+    if which not in _TRANSFORMS:
+        raise ValueError(f"transform must be one of {tuple(_TRANSFORMS)}, got {which!r}")
+    _on_frame(frame, p)
+    return SectionPoint(*_TRANSFORMS[which](frame.surface, frame.n0, p.x, p.z), frame)
 
 
 def ta_power(frame: SectionFrame, p: SectionPoint, r: int, family: str = "TA") -> SectionPoint:
-    """Closed form of the r-th power of TA (or TC): one integer matrix power."""
+    """Closed form of the r-th power of TA (or TC = T*TA*T).
+
+    TA is P -> c + M*(P - c) about the centre (c, c), c = -gamma/(2 + beta),
+    with M = [[tau, -1], [1, 0]] for tau = -beta = p/q, and q^r*M^r =
+    [[V_{r+1}, -q*V_r], [q*V_r, V_{r+1} - p*V_r]].  A parabola (beta = -2,
+    gamma != 0) has no centre: DomainError.
+    """
     if r < 0:
         raise IndexZero("powers are defined for r >= 0")
     if family not in ("TA", "TC"):
         raise ValueError(f"family must be 'TA' or 'TC', got {family!r}")
-    return _apply(frame, p, family, r)
-
-
-# -- Chebyshev-like recurrence -------------------------------------------------
+    _on_frame(frame, p)
+    beta, gamma = frame.conic
+    if gamma and beta == -2:
+        raise DomainError("the section is a parabola: TA has no centre")
+    xz = p.xy if family == "TA" else (p.z, p.x)
+    (x, z, c), den = common_denominator((*xz, -gamma / (2 + beta) if gamma else 0))
+    tau = -beta
+    (v, w), q = _lucas(tau, r), tau.denominator
+    x, z, c, den = x - c, z - c, c * q**r, den * q**r
+    out = (
+        Fraction(c + w * x - q * v * z, den),
+        Fraction(c + q * v * x + (w - tau.numerator * v) * z, den),
+    )
+    return SectionPoint(*(out if family == "TA" else out[::-1]), frame)
 
 
 def chebyshev_b(r: int, n0: Rat) -> Fraction:
     """b_r(n0) with b_0 = 1, b_1 = 3*n0, b_{r+2} = 3*n0*b_{r+1} - b_r.
 
-    Indices -1 and -2 (values 0 and -1) are admitted: they are forced by
-    running the recurrence backwards.  Read off the matrix power
-    TA^r = [[b_r, -b_{r-1}], [b_{r-1}, -b_{r-2}]] at r + 2.
+    That is U_{r+1} at tau = 3*n0.  Indices -1 and -2 (values 0 and -1)
+    are admitted: they are forced by running the recurrence backwards.
     """
     if r < -2:
         raise IndexZero(f"index {r} below the supported range")
-    matrix, scale = _power("TA", Fraction(n0), r + 2)
-    return Fraction(-matrix[1][1], scale)
+    if r < 0:
+        return Fraction(r + 1)
+    tau = 3 * Fraction(n0)
+    return Fraction(_lucas(tau, r + 1)[0], tau.denominator**r)
 
 
 def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
-    """r-th convergent b_r/b_{r-1} of the minus continued fraction
-    ceil(3*n0 : 3*n0 : ...) converging to the larger point at infinity."""
+    """r-th convergent U_{r+1}/U_r at tau = -beta (b_r/b_{r-1} on the Fricke
+    surface) of the minus continued fraction ceil(tau : tau : ...), which
+    converges to the point at infinity of larger modulus.  An ellipse has
+    none: DomainError."""
     if r < 1:
         raise IndexZero("convergents are indexed from 1")
-    _fricke_only(frame)
-    matrix, _scale = _power("TA", frame.n0, r)
-    return Fraction(matrix[0][0], matrix[1][0])
+    tau = -_hyperbola_beta(frame)
+    v, w = _lucas(tau, r)
+    return Fraction(w, tau.denominator * v)
 
 
 # -- the group law -------------------------------------------------------------
+
+
+def _gradient(beta: Fraction, gamma: Fraction, x: Fraction, z: Fraction):
+    """(C_x, C_z): the gradient of the section conic at (x, z)."""
+    return 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
 
 
 def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, mu: Slope):
@@ -253,17 +274,15 @@ def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, mu: Slope):
     lead = 1 + beta * mu + mu * mu
     if lead == 0:
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
-    cx = 2 * x0 + beta * z0 + gamma
-    cz = 2 * z0 + beta * x0 + gamma
+    cx, cz = _gradient(beta, gamma, x0, z0)
     u = -(cx + mu * cz) / lead
     return SectionPoint(x0 + u, z0 + mu * u, frame)
 
 
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
     """Slope of the tangent line to the section at p."""
-    beta, gamma = frame.conic
-    num = 2 * p.x + beta * p.z + gamma
-    den = 2 * p.z + beta * p.x + gamma
+    _on_frame(frame, p)
+    num, den = _gradient(*frame.conic, p.x, p.z)
     if den == 0:
         return AT_INFINITY
     return -num / den
@@ -271,6 +290,7 @@ def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
 
 def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> SectionPoint:
     """The conic group law with neutral element O."""
+    _on_frame(frame, p1, p2)
     if p1.xy == p2.xy:
         return quadric_double(frame, p1)
     return _second_point(frame, frame.m0, frame.k0, slope_between(p1.xy, p2.xy))
@@ -287,4 +307,5 @@ def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     Second intersection with the section of the line through P parallel
     to the tangent at O.
     """
+    _on_frame(frame, p)
     return _second_point(frame, p.x, p.z, tangent_slope(frame, frame.origin))

@@ -5,11 +5,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import section_point_pool
+from conftest import f2_section_point_pool, section_point_pool
 from frickelab import (
     DOUBLE,
     FRICKE,
     DomainError,
+    F2SectionFrame,
     SectionFrame,
     SectionPoint,
     cf_convergent,
@@ -25,6 +26,7 @@ from frickelab import (
 )
 from frickelab.cli import run
 from frickelab.fricke import FrickeSurface
+from frickelab.exact import common_denominator
 from frickelab.sections import IndexZero, OffSection, tangent_slope
 
 FRAMES = [(1, 1, 1), (1, 1, 2), (1, 2, 5), (2, 5, 29)]
@@ -41,6 +43,41 @@ class TestFrame:
             SectionFrame(1, 1, 3)
         with pytest.raises(OffSection):
             SectionPoint(3, 1, frame())
+
+    def test_point_of_another_frame_rejected(self):
+        # p and q lie on y = 1; on the frame (1, 2, 5) the add used to return (5, 1)
+        here, there = frame((1, 2, 5)), frame()
+        p, q = SectionPoint(1, 2, there), SectionPoint(2, 1, there)
+        laws = [
+            lambda: quadric_add(here, p, q),
+            lambda: quadric_add(here, here.origin, q),
+            lambda: quadric_double(here, p),
+            lambda: quadric_inverse(here, p),
+            lambda: tangent_slope(here, p),
+            lambda: dihedral(here, p, "T"),
+            lambda: ta_power(here, p, 2),
+        ]
+        for law in laws:
+            with pytest.raises(OffSection, match="another section frame"):
+                law()
+
+    def test_frame_on_another_surface_is_another_frame(self):
+        # (1, 4, 25) lies on the double surface and on the Fricke surface shifted
+        # to sigma = 1 + 16 + 625 - 3*100 = 342: the same triple, two sections
+        double = SectionFrame(1, 4, 25, DOUBLE)
+        shifted = SectionFrame(1, 4, 25, FrickeSurface(342))
+        with pytest.raises(OffSection, match="another section frame"):
+            quadric_double(shifted, double.origin)
+        with pytest.raises(OffSection, match="another section frame"):
+            dihedral(double, shifted.origin, "T")
+
+    def test_equal_frames_of_either_class_agree(self):
+        f2, fr = F2SectionFrame(1, 4, 25), SectionFrame(1, 4, 25, DOUBLE)
+        p = dihedral(f2, f2.origin, "TC")
+        assert p.xy == (25, 841)
+        assert quadric_add(fr, p, fr.origin).xy == p.xy
+        assert dihedral(fr, p, "TC").xy == ta_power(f2, fr.origin, 2, "TC").xy == (841, 28561)
+        assert quadric_inverse(f2, quadric_inverse(fr, p)).xy == p.xy
 
     def test_fundamental_flag(self):
         assert SectionFrame(1, 2, 1).is_fundamental
@@ -208,6 +245,18 @@ class TestConvergents:
                     assert val < prev
                 prev = val
 
+    def test_ellipse_section_is_a_domain_error(self):
+        # beta^2 = 1 on both: no real points at infinity, and U_3(-beta) = 0
+        # used to end in ZeroDivisionError at r = 3
+        for fr in (
+            SectionFrame(0, Fraction(1, 3), 0, FrickeSurface(Fraction(1, 9))),
+            SectionFrame(Fraction(-1, 9), Fraction(1, 9), Fraction(-1, 9), DOUBLE),
+        ):
+            assert fr.conic[0] ** 2 == 1
+            for r in (1, 3):
+                with pytest.raises(DomainError, match="ellipse"):
+                    cf_convergent(fr, r)
+
 
 class TestGroupLaw:
     def test_swap_identity(self):
@@ -312,10 +361,11 @@ class TestDihedral:
 
     def test_viete_group_law_compatibility(self, rng):
         # P + CP = CO and P + AP = AO
-        for triple in FRAMES:
-            fr = frame(triple)
+        cases = [(frame(triple), section_point_pool) for triple in FRAMES]
+        cases.append((F2SectionFrame(1, 4, 25), f2_section_point_pool))
+        for fr, pool in cases:
             O = fr.origin
-            for p in section_point_pool(fr, rng, 12):
+            for p in pool(fr, rng, 12):
                 cp = dihedral(fr, p, "C")
                 if cp.xy != p.xy:
                     assert quadric_add(fr, p, cp).xy == dihedral(fr, O, "C").xy
@@ -364,25 +414,130 @@ class TestClosedFormPowers:
                     )
 
 
-class TestFrickeOnlyTransforms:
+class TestDoublingParity:
+    """The integer doubling against the plain recurrence at r = 2^k, 2^k +- 1.
+
+    The recurrences run in integers scaled by q per step, with tau = p/q,
+    and are read as Fractions at the checked indices only: a Fraction
+    recurrence reduces every term, which takes seconds at n0 = 17689/5184.
+    """
+
+    CHECKED = sorted({2**k + d for k in range(12) for d in (-1, 0, 1)} | {3000})
+
+    @pytest.fixture(
+        params=[(1, 1, 1), (1, 5, 2), RATIONAL_FRAME, (1, Fraction(17689, 5184), 1)],
+        ids=["1", "5", "-3/4", "17689/5184"],
+    )
+    def fr(self, request):
+        triple = request.param
+        return SectionFrame(*triple, FrickeSurface(FRICKE.defect(triple)))
+
+    def test_b_and_convergents(self, fr):
+        tau = 3 * fr.n0
+        p, q = tau.numerator, tau.denominator
+        prev, cur = 0, 1  # q^(n-1)*U_n at n = 0 and 1
+        for n in range(1, self.CHECKED[-1] + 2):
+            if n - 1 in self.CHECKED:  # U_n = b_{n-1}
+                assert chebyshev_b(n - 1, fr.n0) == Fraction(cur, q ** (n - 1))
+                if n > 1:
+                    assert cf_convergent(fr, n - 1) == Fraction(cur, q * prev)
+            prev, cur = cur, p * cur - q * q * prev
+
+    def test_powers(self, fr):
+        tau = 3 * fr.n0
+        p, q = tau.numerator, tau.denominator
+        # TA: (x, z) -> (tau*x - z, x) and TC: (x, z) -> (z, tau*z - x), over q*den
+        steps = {
+            "TA": lambda x, z: (p * x - q * z, q * x),
+            "TC": lambda x, z: (q * z, p * z - q * x),
+        }
+        for family, step in steps.items():
+            (x, z), den = common_denominator(fr.origin.xy)
+            for r in range(self.CHECKED[-1] + 1):
+                if r in self.CHECKED:
+                    want = (Fraction(x, den), Fraction(z, den))
+                    assert ta_power(fr, fr.origin, r, family).xy == want
+                x, z = step(x, z)
+                den *= q
+
+
+class TestTransformsOnEitherSurface:
     # (1, 4, 25) lies on the double surface: (1 + 4 + 25)^2 = 900 = 9*1*4*25
     DOUBLE_FRAME = (1, 4, 25, DOUBLE)
+    # integral, sigma-shifted, rational and an ellipse (beta^2 = 1)
+    DOUBLE_FRAMES = [
+        (1, 4, 25, DOUBLE),
+        (4, 25, 841, DOUBLE),
+        (2, 1, 1, replace(DOUBLE, sigma=DOUBLE.defect((2, 1, 1)))),
+        (Fraction(225, 16), Fraction(9, 16), 36, DOUBLE),
+        (Fraction(-1, 9), Fraction(1, 9), Fraction(-1, 9), DOUBLE),
+    ]
 
-    def test_dihedral_rejects_double_frame(self):
+    def test_tc_chain_of_squared_markov_numbers(self):
         fr = SectionFrame(*self.DOUBLE_FRAME)
-        with pytest.raises(DomainError, match="double surface"):
-            dihedral(fr, fr.origin, "A")
+        chain = [(1, 25), (25, 841), (841, 28561)]
+        p = fr.origin
+        for r, xz in enumerate(chain):
+            assert p.xy == xz
+            assert ta_power(fr, fr.origin, r, "TC").xy == xz
+            p = dihedral(fr, p, "TC")
 
-    def test_ta_power_rejects_double_frame(self):
+    def test_involutions_and_c_is_tat(self, rng):
+        fr = F2SectionFrame(1, 4, 25)
+        for p in f2_section_point_pool(fr, rng, 16):
+            for which in ("A", "C", "T"):
+                assert dihedral(fr, dihedral(fr, p, which), which).xy == p.xy
+            tat = dihedral(fr, dihedral(fr, dihedral(fr, p, "T"), "A"), "T")
+            assert dihedral(fr, p, "C").xy == tat.xy
+
+    def test_a_and_c_are_the_vieta_moves(self, rng):
+        # the formulas conftest.f2_section_point_pool writes out
+        for triple in ((1, 4, 25), (4, 25, 841)):
+            fr = F2SectionFrame(*triple)
+            n0 = fr.n0
+            for p in f2_section_point_pool(fr, rng, 12):
+                x, z = p.xy
+                assert dihedral(fr, p, "A").xy == (x, 9 * n0 * x - 2 * n0 - 2 * x - z)
+                assert dihedral(fr, p, "C").xy == (9 * n0 * z - 2 * n0 - 2 * z - x, z)
+
+    def test_ta_power_matches_iteration(self):
+        for triple in self.DOUBLE_FRAMES:
+            fr = SectionFrame(*triple)
+            for family in ("TA", "TC"):
+                q = fr.origin
+                for r in range(1, 40):
+                    q = dihedral(fr, q, family)
+                    assert ta_power(fr, fr.origin, r, family).xy == q.xy
+
+    def test_cf_convergent_on_double_frame(self):
         fr = SectionFrame(*self.DOUBLE_FRAME)
-        with pytest.raises(DomainError, match="double surface"):
+        beta, _gamma = fr.conic
+        assert [cf_convergent(fr, r) for r in (1, 2, 3)] == [
+            34,
+            Fraction(1155, 34),
+            Fraction(39236, 1155),
+        ]
+        prev = None
+        for r in range(1, 21):
+            t = cf_convergent(fr, r)
+            val = abs(t * t + beta * t + 1)
+            assert val != 0
+            if prev is not None:
+                assert val < prev
+            prev = val
+
+    def test_parabola_has_no_ta_power(self):
+        # n0 = 4/9: beta = -2 and gamma = 8/9, so TA has no centre
+        fr = SectionFrame(Fraction(-1, 9), Fraction(4, 9), Fraction(-1, 9), DOUBLE)
+        assert fr.conic == (-2, Fraction(8, 9))
+        with pytest.raises(DomainError, match="parabola"):
             ta_power(fr, fr.origin, 2)
+        assert dihedral(fr, dihedral(fr, fr.origin, "TA"), "TC").xy == fr.origin.xy
 
-    def test_cf_convergent_rejects_double_frame(self):
-        # it used to return the Fricke value 1704/143 of n0 = 4
+    def test_b_leaves_a_double_section(self):
         fr = SectionFrame(*self.DOUBLE_FRAME)
-        with pytest.raises(DomainError, match="double surface"):
-            cf_convergent(fr, 3)
+        with pytest.raises(OffSection):
+            dihedral(fr, fr.origin, "B")
 
     def test_sigma_shifted_fricke_frame_accepted(self):
         # 1 + 4 + 9 - 3*1*2*3 = -4; the Vieta move in z does not involve sigma
