@@ -15,13 +15,13 @@ from frickelab import (
 
 print("Markov triples with all components <= 1000")
 print("=" * 56)
-for node in generate("fricke", MARKOV_ROOT, max_component=1000):
+for node in generate(MARKOV_ROOT, max_component=1000):
     print(f"  depth {node.depth}: {node.triple.values}")
 
 print()
 print("The double tree is the Markov tree, squared coordinatewise")
 print("=" * 56)
-for node in generate("double", DOUBLE_ROOT, max_component=1000**2):
+for node in generate(DOUBLE_ROOT, max_component=1000**2):
     print(f"  {node.triple.values}  <-  {sqrt_descend(F2Point(*node.triple.values))}")
 
 print()

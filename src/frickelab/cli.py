@@ -274,10 +274,8 @@ def _star(args) -> dict:
 
 
 def _tree(args):
-    root = tree.canonical(args.root, args.surface)
-    nodes = tree.generate(
-        args.surface, root, depth=args.depth, max_component=args.max_component
-    )
+    root = tree.canonical(args.root, SURFACES[args.surface])
+    nodes = tree.generate(root, depth=args.depth, max_component=args.max_component)
     if args.format == "dot":
         return _tree_dot(nodes)
     return {"result": [list(n.triple.values) for n in nodes]}

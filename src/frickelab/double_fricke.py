@@ -132,5 +132,5 @@ def negative_tree(n: int, depth: int) -> list[tuple[int, int, int]]:
     """
     if n <= 0:
         raise ValueError("n must be a positive integer")
-    nodes = generate("double", canonical((-n, 0, n), "double"), depth=depth)
+    nodes = generate(canonical((-n, 0, n), DOUBLE), depth=depth)
     return sorted(node.triple.values for node in nodes)

@@ -448,10 +448,6 @@ def line_third_intersection(
         raise CoincidentPoints(f"{p} == {q}")
     if not (a or b or c) or not (u1 or u2 or u3):
         raise OriginOperand("the surface origin has no secant composition")
-    sigma = Fraction(sigma)
-    for pt in (p, q):
-        if surface_defect(surface, pt, sigma) != 0:
-            raise OffSurface(f"{tuple(map(Fraction, pt))} is not on {surface}")
 
     # Q(u + t*v) by powers of t, from each surface's own quadratic form
     v1, v2, v3 = a - u1, b - u2, c - u3
@@ -471,15 +467,17 @@ def line_third_intersection(
     e1 = v1 * u2 * u3 + u1 * v2 * u3 + u1 * u2 * v3
     e2 = v1 * v2 * u3 + v1 * u2 * v3 + u1 * v2 * v3
     e3 = v1 * v2 * v3
+    sigma = Fraction(sigma)
     sn, sd = sigma.numerator, sigma.denominator
     ks = kappa * sd
     c0 = sd * D * q0 - ks * e0 - sn * D * D * D
     c1 = sd * D * q1 - ks * e1
     c2 = sd * D * q2 - ks * e2
     c3 = -ks * e3
-    # c0 is sd*D**3 times the defect of q, and c0 + c1 + c2 + c3 that of p
-    if c0 != 0 or c0 + c1 + c2 + c3 != 0:
-        raise OffSurface(f"the line's cubic on {surface} does not vanish at both operands")
+    # c0 + c1 + c2 + c3 is sd*D**3 times the defect of p, and c0 that of q
+    for pt, value in ((p, c0 + c1 + c2 + c3), (q, c0)):
+        if value != 0:
+            raise OffSurface(f"{tuple(map(Fraction, pt))} is not on {surface}")
     if c3 == 0:
         return DEGENERATE_CUBIC
     # poly == c3 * t * (t - 1) * (t - t3)  =>  t3 = -(c2 + c3) / c3

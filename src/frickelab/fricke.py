@@ -27,10 +27,6 @@ from .exact import (
 )
 
 
-class SigmaUnsupported(DomainError):
-    pass
-
-
 class BasePointUndefined(DomainError):
     pass
 
@@ -113,12 +109,10 @@ ComposeResult = Union[Finite, Infinite, Undefined]
 def viete(p: SurfacePoint, generator: str) -> SurfacePoint:
     """Apply L: (x,y,z) -> (x, z', y) or R: (x,y,z) -> (y, x', z).
 
-    z' and x' are the other roots of Vieta's move; on the Fricke surface
-    L is (x, 3xy-z, y) and R is (y, 3yz-x, z).
+    z' and x' are the other roots of Vieta's move, which does not depend on
+    sigma; on every Fricke surface L is (x, 3xy-z, y) and R is (y, 3yz-x, z).
     """
     s = p.surface
-    if s.sigma != 0:
-        raise SigmaUnsupported("Viete generators are stated for sigma = 0 only")
     x, y, z = p.coords
     if generator == "L":
         return type(p)(x, s.other_root(x, y, z), y, s)

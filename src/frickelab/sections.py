@@ -279,13 +279,17 @@ def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, mu: Slope):
     return SectionPoint(x0 + u, z0 + mu * u, frame)
 
 
-def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
-    """Slope of the tangent line to the section at p."""
-    _on_frame(frame, p)
-    num, den = _gradient(*frame.conic, p.x, p.z)
+def _tangent_slope(frame: SectionFrame, x: Fraction, z: Fraction) -> Slope:
+    num, den = _gradient(*frame.conic, x, z)
     if den == 0:
         return AT_INFINITY
     return -num / den
+
+
+def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
+    """Slope of the tangent line to the section at p."""
+    _on_frame(frame, p)
+    return _tangent_slope(frame, p.x, p.z)
 
 
 def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> SectionPoint:
@@ -308,4 +312,4 @@ def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     to the tangent at O.
     """
     _on_frame(frame, p)
-    return _second_point(frame, p.x, p.z, tangent_slope(frame, frame.origin))
+    return _second_point(frame, p.x, p.z, _tangent_slope(frame, frame.m0, frame.k0))

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import SURFACES, DomainError, Surface
+from .exact import DOUBLE, FRICKE, DomainError, Surface
 
 
 class RootOffSurface(DomainError):
@@ -21,23 +21,25 @@ class NotAMarkovNumber(DomainError):
 
 @dataclass(frozen=True, slots=True)
 class CanonicalTriple:
-    """Integer triple sorted ascending, tagged by its surface."""
+    """Integer triple sorted ascending, on the surface of its record."""
 
     values: tuple[int, int, int]
-    surface: str = "fricke"
+    surface: Surface = FRICKE
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.values)) != self.values:
             raise ValueError(f"{self.values} is not sorted")
-        if SURFACES[self.surface].defect(self.values) != 0:
-            raise RootOffSurface(f"{self.values} is not on {self.surface}")
+        s = self.surface
+        if s.defect(self.values) != 0:
+            where = f"{s.name} with sigma = {s.sigma}" if s.sigma else s.name
+            raise RootOffSurface(f"{self.values} is not on {where}")
 
     @property
     def largest(self) -> int:
         return self.values[2]
 
 
-def canonical(values, surface: str = "fricke") -> CanonicalTriple:
+def canonical(values, surface: Surface = FRICKE) -> CanonicalTriple:
     """The sorted triple of integral values; a fractional entry is a DomainError."""
     values = tuple(values)
     if any(int(v) != v for v in values):
@@ -61,22 +63,22 @@ def _children(s: Surface, t: tuple[int, int, int]):
 
 
 def generate(
-    surface: str,
     root: CanonicalTriple,
     *,
     depth: int | None = None,
     max_component: int | None = None,
 ) -> list[TreeNode]:
-    """Breadth-first Vieta tree from ``root``, deduplicated canonically.
+    """Breadth-first Vieta tree from ``root`` on its surface, deduplicated canonically.
 
-    ``depth`` bounds the number of generator applications;
-    ``max_component`` prunes every triple whose largest absolute entry
-    exceeds the bound (valid because components only grow away from the
-    root).  At least one limit is required.  Each node records the
-    position of the node it was first reached from.
+    ``depth`` bounds the number of generator applications.
+    ``max_component`` drops every triple whose largest absolute entry
+    exceeds the bound and expands no such triple, so only triples reached
+    through triples within the bound are found.  From (1, 1, 1) on either
+    surface that is every triple of the orbit within the bound, since each
+    one descends to the root without its largest entry growing.  At least
+    one limit is required.  Each node records the position of the node it
+    was first reached from.
     """
-    if root.surface != surface:
-        raise RootOffSurface(f"root {root} is not tagged for {surface}")
     if depth is None and max_component is None:
         raise DomainError("either depth or max_component must be given")
 
@@ -85,7 +87,7 @@ def generate(
 
     if not admitted(root.values):
         return []
-    s = SURFACES[surface]
+    s = root.surface
     out = [TreeNode(root, None, 0)]
     seen = {root.values}
     frontier = [0]  # positions in ``out`` of the previous level
@@ -103,14 +105,14 @@ def generate(
         emitted.sort()
         frontier = list(range(len(out), len(out) + len(emitted)))
         out.extend(
-            TreeNode(CanonicalTriple(canon, surface), label, level, parent)
+            TreeNode(CanonicalTriple(canon, s), label, level, parent)
             for canon, label, parent in emitted
         )
     return out
 
 
-MARKOV_ROOT = CanonicalTriple((1, 1, 1), "fricke")
-DOUBLE_ROOT = CanonicalTriple((1, 1, 1), "double")
+MARKOV_ROOT = CanonicalTriple((1, 1, 1), FRICKE)
+DOUBLE_ROOT = CanonicalTriple((1, 1, 1), DOUBLE)
 
 
 @dataclass(frozen=True, slots=True)
@@ -133,7 +135,7 @@ def frobenius_scan(max_component: int) -> FrobeniusReport:
     """
     if max_component < 2:
         raise DomainError("max_component must be at least 2")
-    nodes = generate("fricke", MARKOV_ROOT, max_component=max_component)
+    nodes = generate(MARKOV_ROOT, max_component=max_component)
     by_largest: dict[int, list[CanonicalTriple]] = {}
     for node in nodes:
         by_largest.setdefault(node.triple.largest, []).append(node.triple)
@@ -143,7 +145,7 @@ def frobenius_scan(max_component: int) -> FrobeniusReport:
 
 def fundamental_points(n0: int) -> list[CanonicalTriple]:
     """All canonical positive Markov triples whose largest component is n0."""
-    nodes = generate("fricke", MARKOV_ROOT, max_component=n0)
+    nodes = generate(MARKOV_ROOT, max_component=n0)
     return [node.triple for node in nodes if node.triple.largest == n0]
 
 

@@ -197,8 +197,8 @@ def test_criterion_08_orbit_homomorphism():
 
 def test_criterion_09_squared_triple_theorem():
     with criterion(9, "depth-8 double tree = squared depth-8 Markov tree"):
-        markov = {n.triple.values for n in generate("fricke", MARKOV_ROOT, depth=8)}
-        double = {n.triple.values for n in generate("double", DOUBLE_ROOT, depth=8)}
+        markov = {n.triple.values for n in generate(MARKOV_ROOT, depth=8)}
+        double = {n.triple.values for n in generate(DOUBLE_ROOT, depth=8)}
         assert double == {tuple(v * v for v in t) for t in markov}
 
 

@@ -4,7 +4,7 @@ import sys
 
 import pytest
 
-from frickelab.cli import run
+from frickelab.cli import build_parser, run
 from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint
 from frickelab.fricke import Finite, Infinite, Undefined
 
@@ -218,6 +218,43 @@ class TestExitContract:
         payload = invoke_json(capsys, "compose", "--sigma", "-4", "1,2,3", "3,1,2")
         assert payload == {"result": ["10", "-5/2", "-3/2"]}
 
+
+SURFACE_SUBCOMMANDS = [
+    "compose",
+    "tree",
+    "section-add",
+    "section-double",
+    "section-inverse",
+    "infinity",
+    "param",
+    "phi",
+    "psi",
+    "p2-viete",
+    "p2-compose",
+]
+
+
+class TestUnknownSurface:
+    """A surface name is resolved by the CLI alone; an unknown one is a usage error."""
+
+    def test_every_surface_subcommand_listed(self):
+        sub = next(a for a in build_parser()._actions if a.dest == "command")
+        taking = [
+            name
+            for name, p in sub.choices.items()
+            if any("--surface" in a.option_strings for a in p._actions)
+        ]
+        assert taking == SURFACE_SUBCOMMANDS
+
+    @pytest.mark.parametrize("command", SURFACE_SUBCOMMANDS)
+    def test_unknown_surface_exits_2(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            run([command, "--surface", "cayley"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "invalid choice: 'cayley'" in captured.err
+        assert "Traceback" not in captured.err
 
 class TestCheckCoincidentSquares:
     def test_charts_with_one_squared_point(self, capsys):

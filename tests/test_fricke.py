@@ -32,7 +32,6 @@ from frickelab.exact import DOUBLE, FRICKE, SingularPoint, ZeroArgument
 from frickelab.fricke import (
     BasePointUndefined,
     OffSurface,
-    SigmaUnsupported,
     SurfacePoint,
     UndefinedImage,
 )
@@ -80,10 +79,26 @@ class TestViete:
         for expected in ((1, 1, 2), (1, 2, 5), (2, 5, 29), (1, 5, 13)):
             assert expected in seen
 
-    def test_sigma_rejected(self):
-        surf = FrickeSurface(Fraction(4))
-        with pytest.raises(SigmaUnsupported):
-            viete(FrickePoint(0, 0, 2, surface=surf), "L")
+    @pytest.mark.parametrize(
+        "sigma, start", [(4, (0, 0, 2)), (Fraction(9, 4), (Fraction(1, 2), 1, 2))]
+    )
+    def test_sigma_surfaces(self, sigma, start):
+        # Vieta's move does not depend on sigma: the generators keep their
+        # Fricke formulas and stay on the shifted surface
+        surf = FrickeSurface(sigma)
+        p = FrickePoint(*start, surface=surf)
+        for generator in "LRLRLR":
+            x, y, z = p.coords
+            q = viete(p, generator)
+            if generator == "L":
+                assert q.coords == (x, 3 * x * y - z, y)
+            else:
+                assert q.coords == (y, 3 * y * z - x, z)
+            assert q.surface == surf
+            assert x * x + y * y + z * z - 3 * x * y * z == sigma
+            p = q
+        x, y, z = p.coords
+        assert x * x + y * y + z * z - 3 * x * y * z == sigma
 
 
 class TestParametrizations:

@@ -191,7 +191,7 @@ def test_oracle_parity_on_tall_charts(surface, P1, Q1, P2, Q2):
             )
 
 
-MARKOV = [node.triple.values for node in generate("fricke", canonical((1, 1, 1)), depth=5)]
+MARKOV = [node.triple.values for node in generate(canonical((1, 1, 1)), depth=5)]
 SIGNS = [(1, 1, 1), (-1, -1, 1), (-1, 1, -1), (1, -1, -1)]
 
 
