@@ -101,7 +101,7 @@ def _emit(payload, fmt: str) -> None:
 def _tree_dot(nodes: list[tree.TreeNode]) -> str:
     lines = ["digraph markov {"]
     for i, node in enumerate(nodes):
-        label = ",".join(str(v) for v in node.triple.values)
+        label = ",".join(map(format_rational, node.triple.values))
         lines.append(f'  n{i} [label="({label})"];')
     for i, node in enumerate(nodes):
         if node.parent is not None:

@@ -3,11 +3,15 @@
 Everything in here is exact: arbitrary-precision rationals, primitive
 integer projective vectors, quadratic irrationals stored symbolically,
 and the line-cubic intersection oracle.  No floating point exists in
-this module (or anywhere else in the package).
+this module (or anywhere else in the package): ``decimal.Decimal`` only
+carries integers, built exactly, across the interpreter's digit limit
+of ``str`` and ``int``.
 """
 from __future__ import annotations
 
+import decimal
 import math
+import re
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -47,23 +51,48 @@ class ZeroArgument(DomainError):
 # rationals: parsing and wire format
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
+def _int(digits: str) -> int:
+    """int(digits), also past the interpreter's limit on str-to-int conversion."""
+    try:
+        return int(digits)
+    except ValueError:  # too many digits for int(); Decimal has no such limit
+        return int(decimal.Decimal(digits))
+
+
+def _digits(n: int) -> str:
+    """str(n), also past the interpreter's limit on int-to-str conversion."""
+    try:
+        return str(n)
+    except ValueError:  # too many digits for str(); Decimal has no such limit
+        return format(decimal.Decimal(n), "f")
+
+
 def parse_rational(text: str) -> Fraction:
     """Parse the "num/den" wire form (den optional) into a Fraction.
 
-    Raises ValueError on malformed text, a zero denominator included.
+    Only an optional sign, digits, and optionally "/" and digits are
+    accepted, with surrounding whitespace; numbers of any length are read.
+    Raises ValueError on anything else, a zero denominator included.
     """
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not of the form num[/den]: {text!r}")
+    num, den = match.groups()
     try:
-        return Fraction(text.strip())
+        return Fraction(_int(num), _int(den or "1"))
     except ZeroDivisionError:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
 def format_rational(value: Rat) -> str:
-    """Serialize exactly: "num/den", with "/den" omitted when den == 1."""
+    """Serialize exactly, at any size: "num/den", with "/den" omitted when den == 1."""
     q = Fraction(value)
     if q.denominator == 1:
-        return str(q.numerator)
-    return f"{q.numerator}/{q.denominator}"
+        return _digits(q.numerator)
+    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
 
 
 def common_denominator(values: Sequence[Rat]) -> tuple[list[int], int]:
@@ -99,7 +128,7 @@ class ProjectivePoint:
             raise ValueError(f"sign not normalized: {self.coords}")
 
     def __str__(self) -> str:
-        return "[" + ":".join(str(c) for c in self.coords) + "]"
+        return "[" + ":".join(map(_digits, self.coords)) + "]"
 
 
 def normalize_projective(values: Sequence[Rat]) -> ProjectivePoint:

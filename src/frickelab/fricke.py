@@ -23,6 +23,7 @@ from .exact import (
     Surface,
     ZeroArgument,
     common_denominator,
+    format_rational,
     normalize_projective,
 )
 
@@ -54,7 +55,8 @@ class SurfacePoint:
         object.__setattr__(self, "y", Fraction(self.y))
         object.__setattr__(self, "z", Fraction(self.z))
         if self.surface.defect(self.coords) != 0:
-            raise OffSurface(f"({self.x}, {self.y}, {self.z}) is not on the surface")
+            point = ", ".join(map(format_rational, self.coords))
+            raise OffSurface(f"({point}) is not on the surface")
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:

@@ -6,16 +6,21 @@ x^2 + z^2 + beta*x*z + gamma*(x + z) + n0^2 - sigma = 0, with
 (beta, gamma) = (2*cross - kappa*n0, 2*cross*n0) read from the frame's
 ``Surface`` record.  With a base point O = (m0, k0) it carries a
 commutative group law: A + B is the second intersection with the conic
-of the line through O parallel to the chord AB.  The module also covers
-the points at infinity, the dihedral transforms of a section (the frame's
-own Vieta moves in x and in z, the swap, and B = -1 on Fricke sections),
-and their closed forms: the powers of TA and TC, b_r and the minus
-continued fraction convergents all read off one Lucas sequence
-U_r(-beta), computed in integers by doubling.
+of the line through O parallel to the chord AB (Lemmermeyer, "Conics - a
+poor man's elliptic curves", arXiv:math/0311306).  Sums, doubles and
+inverses share one chord: the second point on the line through a point
+in a direction (B - A, or the tangent (C_z, -C_x)), computed in integers
+over one common denominator.  The node of a section that is a line pair
+has no tangent: SingularPoint.  The module also covers the points at
+infinity, the dihedral transforms of a section (the frame's own Vieta
+moves in x and in z, the swap, and B = -1 on Fricke sections), and their
+closed forms: the powers of TA and TC, b_r and the minus continued
+fraction convergents all read off one Lucas sequence U_r(-beta),
+computed in integers by doubling.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
 
@@ -23,12 +28,15 @@ from .exact import (
     AT_INFINITY,
     FRICKE,
     DomainError,
+    QuadraticIrrational,
     Rat,
+    SingularPoint,
     Slope,
     Surface,
     common_denominator,
+    format_rational,
     is_rational_square,
-    slope_between,
+    make_quadratic,
     sqrt_exact,
 )
 
@@ -53,15 +61,21 @@ class SectionFrame:
     n0: Fraction
     k0: Fraction
     surface: Surface = FRICKE
+    # (beta, gamma) = (2*cross - kappa*n0, 2*cross*n0) of the section conic
+    conic: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "m0", Fraction(self.m0))
         object.__setattr__(self, "n0", Fraction(self.n0))
         object.__setattr__(self, "k0", Fraction(self.k0))
         if not self.contains(self.m0, self.k0):
-            raise OffSection(f"({self.m0}, {self.n0}, {self.k0}) is not on the surface")
+            point = ", ".join(map(format_rational, (self.m0, self.n0, self.k0)))
+            raise OffSection(f"({point}) is not on the surface")
         if self.n0 == 0:
             raise OffSection("n0 = 0 degenerates the section")
+        s, a, b = self.surface, self.n0.numerator, self.n0.denominator
+        beta, gamma = Fraction(2 * s.cross * b - s.kappa * a, b), Fraction(2 * s.cross * a, b)
+        object.__setattr__(self, "conic", (beta, gamma))
 
     @property
     def origin(self) -> "SectionPoint":
@@ -75,12 +89,6 @@ class SectionFrame:
             all(v.denominator == 1 and v > 0 for v in triple)
             and self.n0 == max(triple)
         )
-
-    @property
-    def conic(self) -> tuple[Fraction, Fraction]:
-        """(beta, gamma) of the section conic."""
-        s = self.surface
-        return (2 * s.cross - s.kappa * self.n0, 2 * s.cross * self.n0)
 
     def contains(self, x: Rat, z: Rat) -> bool:
         return self.surface.defect((x, self.n0, z)) == 0
@@ -96,7 +104,8 @@ class SectionPoint:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "z", Fraction(self.z))
         if not self.frame.contains(self.x, self.z):
-            raise OffSection(f"({self.x}, {self.z}) is not on the section")
+            point = ", ".join(map(format_rational, self.xy))
+            raise OffSection(f"({point}) is not on the section")
 
     @property
     def xy(self) -> tuple[Fraction, Fraction]:
@@ -153,10 +162,10 @@ def infinity_points(frame: SectionFrame):
     An ellipse (beta^2 < 4) has none: DomainError.
     """
     beta = _hyperbola_beta(frame)
-    root = sqrt_exact(beta * beta - 4)
-    lo = (-beta - root) * Fraction(1, 2)
-    hi = (-beta + root) * Fraction(1, 2)
-    return (lo, hi)
+    p, q = beta.numerator, beta.denominator
+    d = p * p - 4 * q * q  # beta^2 - 4 = d/q^2: the roots are (-p +- sqrt(d))/2q
+    hi = make_quadratic(Fraction(-p, 2 * q), Fraction(1, 2 * q), d) if d else -beta / 2
+    return (hi.conjugate() if isinstance(hi, QuadraticIrrational) else -beta - hi, hi)
 
 
 # -- dihedral transforms and their closed forms --------------------------------
@@ -257,39 +266,34 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
 
 
 def _gradient(beta: Fraction, gamma: Fraction, x: Fraction, z: Fraction):
-    """(C_x, C_z): the gradient of the section conic at (x, z)."""
-    return 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
+    """(C_x, C_z): the gradient of the section conic at (x, z), nonzero off a node."""
+    cx, cz = 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
+    if not (cx or cz):
+        raise SingularPoint(f"the section is singular at ({x}, {z}): it has no tangent there")
+    return cx, cz
 
 
-def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, mu: Slope):
-    """Second intersection with the section of the line through (x0, z0), slope mu.
+def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, dx: Rat, dz: Rat):
+    """Second intersection with the section of the line (x0 + u*dx, z0 + u*dz).
 
-    Along (x0 + u, z0 + mu*u) the conic is u*(C_x + mu*C_z) +
-    u^2*(1 + beta*mu + mu^2), with the gradient (C_x, C_z) taken at
-    (x0, z0); a vertical line gives the other root in z by Vieta.
+    Along it the conic is u*(C_x*dx + C_z*dz) + u^2*(dx^2 + beta*dx*dz + dz^2),
+    with the gradient taken at (x0, z0).  With beta, gamma, x0, z0, dx, dz
+    written as (B, G, X, Z, U, W)/d, both coefficients times d^3 are integers.
     """
-    if mu is AT_INFINITY:
-        return SectionPoint(x0, frame.surface.other_root(x0, frame.n0, z0), frame)
-    beta, gamma = frame.conic
-    lead = 1 + beta * mu + mu * mu
+    (b, g, x, z, u, w), d = common_denominator((*frame.conic, x0, z0, dx, dz))
+    lead = d * (u * u + w * w) + b * u * w
     if lead == 0:
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
-    cx, cz = _gradient(beta, gamma, x0, z0)
-    u = -(cx + mu * cz) / lead
-    return SectionPoint(x0 + u, z0 + mu * u, frame)
-
-
-def _tangent_slope(frame: SectionFrame, x: Fraction, z: Fraction) -> Slope:
-    num, den = _gradient(*frame.conic, x, z)
-    if den == 0:
-        return AT_INFINITY
-    return -num / den
+    lin = (2 * d * x + b * z + d * g) * u + (2 * d * z + b * x + d * g) * w
+    x, z, den = x * lead - lin * u, z * lead - lin * w, d * lead
+    return SectionPoint(Fraction(x, den), Fraction(z, den), frame)
 
 
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
     """Slope of the tangent line to the section at p."""
     _on_frame(frame, p)
-    return _tangent_slope(frame, p.x, p.z)
+    cx, cz = _gradient(*frame.conic, p.x, p.z)
+    return -cx / cz if cz else AT_INFINITY
 
 
 def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> SectionPoint:
@@ -297,12 +301,14 @@ def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> Sect
     _on_frame(frame, p1, p2)
     if p1.xy == p2.xy:
         return quadric_double(frame, p1)
-    return _second_point(frame, frame.m0, frame.k0, slope_between(p1.xy, p2.xy))
+    return _second_point(frame, frame.m0, frame.k0, p2.x - p1.x, p2.z - p1.z)
 
 
 def quadric_double(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     """P + P, via the chord through O parallel to the tangent at P."""
-    return _second_point(frame, frame.m0, frame.k0, tangent_slope(frame, p))
+    _on_frame(frame, p)
+    cx, cz = _gradient(*frame.conic, p.x, p.z)
+    return _second_point(frame, frame.m0, frame.k0, cz, -cx)
 
 
 def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
@@ -312,4 +318,5 @@ def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     to the tangent at O.
     """
     _on_frame(frame, p)
-    return _second_point(frame, p.x, p.z, _tangent_slope(frame, frame.m0, frame.k0))
+    cx, cz = _gradient(*frame.conic, frame.m0, frame.k0)
+    return _second_point(frame, p.x, p.z, cz, -cx)

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import DOUBLE, FRICKE, DomainError, Surface
+from .exact import DOUBLE, FRICKE, DomainError, Surface, format_rational
 
 
 class RootOffSurface(DomainError):
@@ -32,7 +32,8 @@ class CanonicalTriple:
         s = self.surface
         if s.defect(self.values) != 0:
             where = f"{s.name} with sigma = {s.sigma}" if s.sigma else s.name
-            raise RootOffSurface(f"{self.values} is not on {where}")
+            point = ", ".join(map(format_rational, self.values))
+            raise RootOffSurface(f"({point}) is not on {where}")
 
     @property
     def largest(self) -> int:
@@ -43,7 +44,8 @@ def canonical(values, surface: Surface = FRICKE) -> CanonicalTriple:
     """The sorted triple of integral values; a fractional entry is a DomainError."""
     values = tuple(values)
     if any(int(v) != v for v in values):
-        raise DomainError(f"root {', '.join(map(str, values))} has a non-integral entry")
+        root = ", ".join(map(format_rational, values))
+        raise DomainError(f"root {root} has a non-integral entry")
     return CanonicalTriple(tuple(sorted(map(int, values))), surface)
 
 

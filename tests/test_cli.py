@@ -5,7 +5,8 @@ import sys
 import pytest
 
 from frickelab.cli import build_parser, run
-from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint
+from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, parse_rational
+from frickelab.sections import chebyshev_b
 from frickelab.fricke import Finite, Infinite, Undefined
 
 
@@ -214,6 +215,12 @@ class TestExitContract:
         assert code in (1, 2)
         assert "Traceback" not in capsys.readouterr().err
 
+    @pytest.mark.parametrize("number", ["1e3", "1.5", "1e10000000"])
+    def test_only_num_over_den_is_read(self, capsys, number):
+        with pytest.raises(SystemExit) as exc:
+            run(["chebyshev", "--r", "3", "--n0", number])
+        assert exc.value.code == 2
+
     def test_sigma_composition(self, capsys):
         payload = invoke_json(capsys, "compose", "--sigma", "-4", "1,2,3", "3,1,2")
         assert payload == {"result": ["10", "-5/2", "-3/2"]}
@@ -307,3 +314,31 @@ class TestCheckMismatch:
         assert proc.returncode == 1
         assert proc.stdout == ""
         assert proc.stderr.startswith("error: check failed")
+
+
+HUGE = "7" * 5000  # past the 4300 digits that str() and int() take by default
+
+
+class TestAnySize:
+    def test_chebyshev_round_trips(self, capsys):
+        payload = invoke_json(capsys, "chebyshev", "--r", "5000", "--n0", "3")
+        assert len(payload["result"]) == 4744
+        assert parse_rational(payload["result"]) == chebyshev_b(5000, 3)
+
+    def test_huge_input_is_read(self, capsys):
+        payload = invoke_json(capsys, "phi", f"[{HUGE}:1:1]")
+        assert payload["result"].startswith("[") and len(payload["result"]) > 3 * 5000
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["compose", f"{HUGE},1,1", "1,2,5"],
+            ["section-add", "--frame", "1,1,1", f"{HUGE},1", "1,1"],
+            ["infinity", "--frame", f"1,{HUGE},1"],
+            ["tree", "--root", f"1,1,{HUGE}", "--depth", "1"],
+            ["tree", "--root", f"1,1,1/{HUGE}", "--depth", "1"],
+        ],
+    )
+    def test_huge_value_in_an_error_message(self, capsys, argv):
+        code, _out, err = invoke(capsys, *argv)
+        assert code == 1 and HUGE in err and "Traceback" not in err

@@ -6,7 +6,8 @@ The generator covers every subcommand, both surfaces and every
 arities.  Sizes stay small (r <= 40, depth <= 4, max-component <= 200,
 pairs <= 30) so that the whole corpus runs in a few seconds.  After the
 seeded argv come points at infinity on one Markov frame per surface with
-n0 up to 195025, which trial division to the cube root makes affordable.
+n0 up to 195025, which trial division to the cube root makes affordable,
+and b_5000(3), whose 4,744 digits are past the limit of str() on ints.
 """
 import contextlib
 import io
@@ -18,7 +19,9 @@ from frickelab.cli import HANDLERS, run
 SEED = 20261018
 COUNT = 600
 
-BAD_NUMBERS = ["1/0", "abc", "", "1//2", "0x10", "nan", "inf", "-", "1/-2", "2/", "/3", "1,"]
+BAD_NUMBERS = [
+    "1/0", "abc", "", "1//2", "0x10", "nan", "inf", "-", "1/-2", "2/", "/3", "1,", "1e3", "1.5"
+]
 FRICKE_FRAMES = ["1,1,1", "1,2,5", "2,5,29", "1,5,2", "5,13,194", "15/4,-3/4,-6"]
 DOUBLE_FRAMES = ["1,4,25", "4,1,1", "-1/9,1/9,-1/9", "25/36,100/81,625/324"]
 # (m0, n0, k0) from Markov triples, and their squares on the double surface
@@ -156,6 +159,7 @@ def fuzz_argv(seed: int = SEED, count: int = COUNT) -> list[list[str]]:
     for surface in ("fricke", "double"):  # drawn last: the argv above keep their draws
         frame = rng.choice(MARKOV_FRAMES[surface])
         corpus.append(["infinity", "--surface", surface, f"--frame={frame}"])
+    corpus.append(["chebyshev", "--r", "5000", "--n0", "3"])  # past str()'s 4300 digits
     return corpus
 
 

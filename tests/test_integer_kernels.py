@@ -3,6 +3,7 @@ denominator per point: ``compose`` against the line-cubic oracle,
 ``surface_defect`` against the surface polynomial in plain Fractions, and
 the oracle, ``line_point`` and the affine charts against Fraction
 transcriptions of their definitions written out here."""
+import random
 from dataclasses import replace
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from frickelab import (
+    AT_INFINITY,
     DEGENERATE_CUBIC,
     DOUBLE,
     FRICKE,
@@ -19,12 +21,18 @@ from frickelab import (
     FrickePoint,
     Infinite,
     LineParameter,
+    SectionFrame,
+    SectionPoint,
     SurfacePoint,
     compose,
     f2_param_affine,
     line_point,
     line_third_intersection,
     param_affine,
+    quadric_add,
+    quadric_double,
+    quadric_inverse,
+    slope_between,
     surface_defect,
     viete,
 )
@@ -33,8 +41,10 @@ from frickelab.exact import (
     CoincidentPoints,
     OffSurface,
     OriginOperand,
+    SingularPoint,
     ZeroArgument,
 )
+from frickelab.sections import DenominatorVanishes
 from frickelab.tree import canonical, generate
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
@@ -338,3 +348,165 @@ def test_chart_parity(P, Q):
 def test_chart_rejects_zero_parameter(chart, P, Q):
     with pytest.raises(ZeroArgument):
         chart(P, Q)
+
+
+# -- the section chord against its slope form -----------------------------------
+
+
+def slope_conic(frame):
+    """(beta, gamma) of the section conic, from the surface record."""
+    s = frame.surface
+    return 2 * s.cross - s.kappa * frame.n0, 2 * s.cross * frame.n0
+
+
+def slope_chord(frame, x0, z0, mu):
+    """Second intersection with the section of the line through (x0, z0) of
+    slope mu, in Fractions: along (x0 + u, z0 + mu*u) the conic is
+    u*(C_x + mu*C_z) + u^2*(1 + beta*mu + mu^2); a vertical line gives the
+    other root in z by Vieta."""
+    if mu is AT_INFINITY:
+        return (x0, frame.surface.other_root(x0, frame.n0, z0))
+    beta, gamma = slope_conic(frame)
+    lead = 1 + beta * mu + mu * mu
+    if lead == 0:
+        raise DenominatorVanishes("line parallel to an asymptote")
+    u = -(2 * x0 + beta * z0 + gamma + mu * (2 * z0 + beta * x0 + gamma)) / lead
+    return (x0 + u, z0 + mu * u)
+
+
+def slope_of_tangent(frame, x, z):
+    beta, gamma = slope_conic(frame)
+    cx, cz = 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
+    if cx == cz == 0:
+        raise SingularPoint("a node has no tangent")
+    return AT_INFINITY if cz == 0 else -cx / cz
+
+
+def slope_double(frame, p):
+    return slope_chord(frame, frame.m0, frame.k0, slope_of_tangent(frame, p.x, p.z))
+
+
+def slope_add(frame, p, q):
+    if p.xy == q.xy:
+        return slope_double(frame, p)
+    return slope_chord(frame, frame.m0, frame.k0, slope_between(p.xy, q.xy))
+
+
+def slope_inverse(frame, p):
+    return slope_chord(frame, p.x, p.z, slope_of_tangent(frame, frame.m0, frame.k0))
+
+
+def shifted(surface, triple):
+    """The frame of the triple on the sigma-surface through it."""
+    return SectionFrame(*triple, replace(surface, sigma=surface.defect(triple)))
+
+
+SECTION_FRAMES = {
+    "fricke-1-5-2": SectionFrame(1, 5, 2),
+    "fricke-2-5-29": SectionFrame(2, 5, 29),
+    "fricke-rational": SectionFrame(Fraction(15, 4), Fraction(-3, 4), -6),
+    "double-1-4-25": SectionFrame(1, 4, 25, DOUBLE),
+    "double-rational": SectionFrame(
+        Fraction(25, 36), Fraction(100, 81), Fraction(625, 324), DOUBLE
+    ),
+    "fricke-shifted": shifted(FRICKE, (Fraction(2, 3), 5, Fraction(-1, 2))),
+    "double-shifted": shifted(DOUBLE, (Fraction(1, 2), -3, Fraction(4, 7))),
+    "fricke-ellipse": shifted(FRICKE, (1, Fraction(1, 3), 2)),
+    # beta = -2 on both: a parabola, one asymptotic direction (1, 1)
+    "fricke-parabola": shifted(FRICKE, (1, Fraction(2, 3), 3)),
+    "double-parabola": SectionFrame(Fraction(-1, 9), Fraction(4, 9), Fraction(-1, 9), DOUBLE),
+}
+# line pairs through a node N = (c, c), c = -gamma/(2 + beta), of slopes 2
+# and 1/2 (beta = -5/2): the Fricke lines z = 2x, z = x/2 at n0 = 5/6 and
+# the double lines through (2, 2) at n0 = 1/2; O lies on the slope-2 line
+LINE_PAIRS = {
+    "fricke-line-pair": (shifted(FRICKE, (1, Fraction(5, 6), 2)), 0),
+    "double-line-pair": (shifted(DOUBLE, (3, Fraction(1, 2), 4)), 2),
+}
+
+
+def chord_points(frame, rng, count):
+    """Points of the section: second points of chords through O of seeded
+    slopes, each with the partner on its vertical line."""
+    points = [frame.origin]
+    while len(points) < count:
+        mu = random_slope(rng)
+        try:
+            x, z = slope_chord(frame, frame.m0, frame.k0, mu)
+        except DenominatorVanishes:
+            continue
+        for xz in ((x, z), (x, frame.surface.other_root(x, frame.n0, z))):
+            points.append(SectionPoint(*xz, frame))
+    return points
+
+
+def line_pair_points(frame, node, rng, count):
+    """The node and points on both lines of a line pair, in vertical pairs."""
+    points = [frame.origin, SectionPoint(node, node, frame)]
+    while len(points) < count:
+        k = small_rational(rng) or 1
+        for t in (Fraction(2), Fraction(1, 2)):
+            points.append(SectionPoint(node + k, node + t * k, frame))
+    return points
+
+
+def small_rational(rng):
+    return Fraction(rng.randint(-40, 40), rng.randint(1, 40))
+
+
+def random_slope(rng):
+    return AT_INFINITY if rng.random() < 0.1 else small_rational(rng)
+
+
+def section_pool(name, rng):
+    if name in LINE_PAIRS:
+        frame, node = LINE_PAIRS[name]
+        return frame, line_pair_points(frame, node, rng, 30)
+    frame = SECTION_FRAMES[name]
+    return frame, chord_points(frame, rng, 30)
+
+
+def section_outcome(fn, *args):
+    got = outcome(fn, *args)
+    return got.xy if isinstance(got, SectionPoint) else got
+
+
+@pytest.mark.parametrize("name", [*SECTION_FRAMES, *LINE_PAIRS])
+def test_chord_kernel_matches_slope_form(name):
+    rng = random.Random(name)
+    frame, pool = section_pool(name, rng)
+    seen = set()
+    pairs = [(p, q) for p in pool for q in pool[:10]]
+    for p, q in pairs:
+        got = section_outcome(quadric_add, frame, p, q)
+        assert got == outcome(slope_add, frame, p, q), (p.xy, q.xy)
+        seen.add(got if isinstance(got, type) else "vertical" if p.x == q.x else "point")
+    for p in pool:
+        assert section_outcome(quadric_double, frame, p) == outcome(slope_double, frame, p)
+        assert section_outcome(quadric_inverse, frame, p) == outcome(slope_inverse, frame, p)
+    # every frame meets vertical chords; the line pairs also meet chords
+    # parallel to an asymptote and the node
+    assert "vertical" in seen
+    if name in LINE_PAIRS:
+        assert {DenominatorVanishes, SingularPoint} <= seen
+
+
+@KERNEL_SETTINGS
+@given(
+    surfaces,
+    st.lists(rationals, min_size=3, max_size=3),
+    st.lists(rationals, min_size=2, max_size=4),
+)
+def test_chord_kernel_on_tall_sigma_frames(surface, triple, slopes):
+    assume(triple[1] != 0)
+    frame = shifted(surface, tuple(triple))
+    points = [frame.origin]
+    for mu in slopes:
+        got = outcome(slope_chord, frame, frame.m0, frame.k0, mu)
+        if isinstance(got, tuple):
+            points.append(SectionPoint(*got, frame))
+    for p in points:
+        assert section_outcome(quadric_double, frame, p) == outcome(slope_double, frame, p)
+        assert section_outcome(quadric_inverse, frame, p) == outcome(slope_inverse, frame, p)
+        for q in points[:4]:
+            assert section_outcome(quadric_add, frame, p, q) == outcome(slope_add, frame, p, q)

@@ -26,8 +26,8 @@ from frickelab import (
 )
 from frickelab.cli import run
 from frickelab.fricke import FrickeSurface
-from frickelab.exact import common_denominator
-from frickelab.sections import IndexZero, OffSection, tangent_slope
+from frickelab.exact import SingularPoint, common_denominator
+from frickelab.sections import DenominatorVanishes, IndexZero, OffSection, tangent_slope
 
 FRAMES = [(1, 1, 1), (1, 1, 2), (1, 2, 5), (2, 5, 29)]
 RATIONAL_FRAME = (Fraction(15, 4), Fraction(-3, 4), Fraction(-6))  # n0 = -3/4: q = 4
@@ -118,6 +118,14 @@ class TestInfinityPoints:
     def test_radicand_normalized(self):
         lo, hi = infinity_points(frame((1, 2, 5)))  # (6 +- sqrt 32)/2 = 3 +- 2*sqrt 2
         assert (hi.a, hi.b, hi.d, hi.c) == (3, 2, 2, 1)
+
+    def test_rational_roots(self):
+        # n0 = 5/6: beta^2 - 4 = 9/4, roots 1/2 and 2; the double parabola
+        # n0 = 4/9 has beta = -2 and the one double root 1
+        shifted = SectionFrame(1, Fraction(5, 6), 2, FrickeSurface(Fraction(25, 36)))
+        assert infinity_points(shifted) == (Fraction(1, 2), 2)
+        parabola = SectionFrame(Fraction(-1, 9), Fraction(4, 9), Fraction(-1, 9), DOUBLE)
+        assert infinity_points(parabola) == (1, 1)
 
     def test_defining_relation(self):
         for triple in FRAMES:
@@ -315,6 +323,29 @@ class TestGroupLaw:
                 for partner in solve_z(fr, acc.x):
                     if partner.xy != acc.xy:
                         assert quadric_add(fr, acc, partner).xy == expected.xy
+
+    def test_node_of_a_line_pair_has_no_tangent(self):
+        # 1 + 25/36 + 4 - 3*(5/6)*2 = 25/36: the section is the line pair
+        # z = 2x, z = x/2, crossing at N = (0, 0), where the gradient vanishes
+        fr = SectionFrame(1, Fraction(5, 6), 2, FrickeSurface(Fraction(25, 36)))
+        node = SectionPoint(0, 0, fr)
+        for law in (tangent_slope, quadric_double):
+            with pytest.raises(SingularPoint, match=r"singular at \(0, 0\)"):
+                law(fr, node)
+        # the tangent at a point of a line is the line itself: parallel to an asymptote
+        with pytest.raises(DenominatorVanishes):
+            quadric_double(fr, SectionPoint(2, 1, fr))
+        # a vertical chord meets both lines
+        assert quadric_add(fr, SectionPoint(2, 4, fr), SectionPoint(2, 1, fr)).xy == (1, Fraction(1, 2))
+
+    def test_base_point_at_the_node(self):
+        # x^2 + z^2 - 3xz = 0: two lines of irrational slope through O = (0, 0)
+        fr = SectionFrame(0, 1, 0, FrickeSurface(1))
+        for law in (tangent_slope, quadric_double, quadric_inverse):
+            with pytest.raises(SingularPoint, match=r"singular at \(0, 0\)"):
+                law(fr, fr.origin)
+        with pytest.raises(SingularPoint):
+            quadric_add(fr, fr.origin, fr.origin)
 
     def test_group_axioms(self, rng):
         for triple in FRAMES:
