@@ -26,6 +26,7 @@ from .exact import (
     DomainError,
     ProjectivePoint,
     QuadraticIrrational,
+    Surface,
     format_rational,
     line_point,
     line_third_intersection,
@@ -110,16 +111,16 @@ def _tree_dot(nodes: list[tree.TreeNode]) -> str:
     return "\n".join(lines)
 
 
-def _chart(surface: str, P: Fraction, Q: Fraction) -> fricke.SurfacePoint:
+def _chart(surface: Surface, P: Fraction, Q: Fraction) -> fricke.SurfacePoint:
     """The affine chart of the surface: Fricke's, or its coordinatewise square."""
-    return {"fricke": fricke.param_affine, "double": df.f2_param_affine}[surface](P, Q)
+    return (df.f2_param_affine if surface.cross else fricke.param_affine)(P, Q)
 
 
 @functools.cache  # built on first use, then reused by every run in the process
 def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="frickelab", description=__doc__)
     top.add_argument("--format", choices=("json", "dot", "plain"), default="json")
-    top.set_defaults(surface="fricke")  # dihedral, ta-power, convergent: Fricke sections
+    top.set_defaults(surface="fricke")  # subcommands without --surface act on the Fricke surface
     sub = top.add_subparsers(dest="command", required=True)
 
     def surface_opt(p):
@@ -233,12 +234,12 @@ def _run_check(seed: int, pairs: int) -> dict:
         p2, q2 = rand_rat(), rand_rat()
         if (p1, q1) == (p2, q2):
             continue
-        for surface in SURFACES:
+        for surface in SURFACES.values():
             a, b = _chart(surface, p1, q1), _chart(surface, p2, q2)
             if a == b:  # (P, Q) and (-P, -Q) give one double-surface point
                 continue
             res = fricke.compose(a, b)
-            oracle = line_third_intersection(a.coords, b.coords, surface)
+            oracle = line_third_intersection(a.coords, b.coords, surface.name)
             if isinstance(res, fricke.Finite):
                 ok = (
                     oracle is not DEGENERATE_CUBIC
@@ -249,7 +250,7 @@ def _run_check(seed: int, pairs: int) -> dict:
             if not ok:
                 expected = oracle if oracle is DEGENERATE_CUBIC else f"t = {oracle.t}"
                 raise CheckFailed(
-                    f"check failed on the {surface} surface at the charts ({p1}, {q1})"
+                    f"check failed on the {surface.name} surface at the charts ({p1}, {q1})"
                     f" and ({p2}, {q2}): compose gives"
                     f" {json.dumps(_compose_payload(res), sort_keys=True)},"
                     f" the line-cubic oracle {expected}"
@@ -258,11 +259,14 @@ def _run_check(seed: int, pairs: int) -> dict:
     return {"result": "ok", "seed": seed, "pairs-checked": checked}
 
 
-# -- one handler per subcommand: args -> JSON payload, or DOT text ------------
+# -- one handler per subcommand, with args.surface resolved to its record ----
+# A handler returns what its law returns, and ``run`` prints {"result": _ser(out)};
+# compose, star, frobenius and check return their own payload (a dict), and the
+# tree commands their own text (a str): DOT, or integer triples at any size.
 
 
 def _compose(args) -> dict:
-    surface = replace(SURFACES[args.surface], sigma=args.sigma)
+    surface = replace(args.surface, sigma=args.sigma)
     p = fricke.SurfacePoint(*args.p, surface)
     q = fricke.SurfacePoint(*args.q, surface)
     return _compose_payload(fricke.compose(p, q))
@@ -273,12 +277,19 @@ def _star(args) -> dict:
     return _compose_payload(fricke.star(p, q))
 
 
-def _tree(args):
-    root = tree.canonical(args.root, SURFACES[args.surface])
+def _triples(rows, fmt: str) -> str:
+    """Integer triples at any size: the JSON payload, or under --format plain
+    the list alone, which JSON and repr write alike."""
+    text = ", ".join("[" + ", ".join(map(format_rational, row)) + "]" for row in rows)
+    return f"[{text}]" if fmt == "plain" else f'{{"result": [{text}]}}'
+
+
+def _tree(args) -> str:
+    root = tree.canonical(args.root, args.surface)
     nodes = tree.generate(root, depth=args.depth, max_component=args.max_component)
     if args.format == "dot":
         return _tree_dot(nodes)
-    return {"result": [list(n.triple.values) for n in nodes]}
+    return _triples((n.triple.values for n in nodes), args.format)
 
 
 def _frobenius(args) -> dict:
@@ -295,23 +306,10 @@ def _frobenius(args) -> dict:
     }
 
 
-def _frame(args) -> sections.SectionFrame:
-    return sections.SectionFrame(*args.frame, SURFACES[args.surface])
-
-
-def _on_point(law):
-    """Handler applying ``law(frame, p, args)`` to the frame and the point given."""
-
-    def handle(args) -> dict:
-        frame = _frame(args)
-        return {"result": _ser(law(frame, sections.SectionPoint(*args.p, frame), args))}
-
-    return handle
-
-
-def _transfer(law):
-    """Handler printing ``law(args, surface)``, a plane or surface point, as a string."""
-    return lambda args: {"result": str(law(args, SURFACES[args.surface]))}
+def _section(args, *points) -> tuple:
+    """The section frame of --frame on the surface, then ``points`` on it."""
+    frame = sections.SectionFrame(*args.frame, args.surface)
+    return (frame, *(sections.SectionPoint(*p, frame) for p in points))
 
 
 HANDLERS = {
@@ -319,30 +317,27 @@ HANDLERS = {
     "star": _star,
     "tree": _tree,
     "frobenius": _frobenius,
-    "negative-tree": lambda args: {
-        "result": [list(t) for t in df.negative_tree(args.n, args.depth)]
-    },
-    "section-add": _on_point(
-        lambda fr, p, args: sections.quadric_add(fr, p, sections.SectionPoint(*args.q, fr))
-    ),
-    "section-double": _on_point(lambda fr, p, args: sections.quadric_double(fr, p)),
-    "section-inverse": _on_point(lambda fr, p, args: sections.quadric_inverse(fr, p)),
-    "dihedral": _on_point(lambda fr, p, args: sections.dihedral(fr, p, args.map)),
-    "ta-power": _on_point(lambda fr, p, args: sections.ta_power(fr, p, args.r, args.family)),
-    "chebyshev": lambda args: {"result": _ser(sections.chebyshev_b(args.r, args.n0))},
-    "infinity": lambda args: {"result": _ser(sections.infinity_points(_frame(args)))},
-    "convergent": lambda args: {"result": _ser(sections.cf_convergent(_frame(args), args.r))},
-    "param": lambda args: {"result": _ser(_chart(args.surface, args.P, args.Q))},
-    "phi": _transfer(lambda args, surface: fricke.phi(args.p, surface)),
-    "psi": _transfer(lambda args, surface: fricke.psi(args.p)),
-    "p2-viete": _transfer(lambda args, surface: fricke.p2_viete(args.p, args.generator, surface)),
-    "p2-compose": _transfer(lambda args, surface: fricke.p2_compose(args.p, args.q, surface)),
+    "negative-tree": lambda args: _triples(df.negative_tree(args.n, args.depth), args.format),
+    "section-add": lambda args: sections.quadric_add(*_section(args, args.p, args.q)),
+    "section-double": lambda args: sections.quadric_double(*_section(args, args.p)),
+    "section-inverse": lambda args: sections.quadric_inverse(*_section(args, args.p)),
+    "dihedral": lambda args: sections.dihedral(*_section(args, args.p), args.map),
+    "ta-power": lambda args: sections.ta_power(*_section(args, args.p), args.r, args.family),
+    "chebyshev": lambda args: sections.chebyshev_b(args.r, args.n0),
+    "infinity": lambda args: sections.infinity_points(*_section(args)),
+    "convergent": lambda args: sections.cf_convergent(*_section(args), args.r),
+    "param": lambda args: _chart(args.surface, args.P, args.Q),
+    "phi": lambda args: fricke.phi(args.p, args.surface),
+    "psi": lambda args: fricke.psi(args.p),
+    "p2-viete": lambda args: fricke.p2_viete(args.p, args.generator, args.surface),
+    "p2-compose": lambda args: fricke.p2_compose(args.p, args.q, args.surface),
     "check": lambda args: _run_check(args.seed, args.pairs),
 }
 
 
 def run(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    args.surface = SURFACES[args.surface]
     try:
         out = HANDLERS[args.command](args)
     except (DomainError, CheckFailed) as exc:
@@ -351,7 +346,7 @@ def run(argv: list[str] | None = None) -> int:
     if isinstance(out, str):
         print(out)
     else:
-        _emit(out, args.format)
+        _emit(out if isinstance(out, dict) else {"result": _ser(out)}, args.format)
     return 0
 
 

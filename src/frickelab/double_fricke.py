@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import partial
 
-from .exact import DOUBLE, FRICKE, DomainError, Rat, Surface
+from .exact import DOUBLE, FRICKE, DomainError, Rat, Surface, format_point, format_rational
 from .fricke import (
     OffSurface,
     SurfacePoint,
@@ -88,7 +88,7 @@ def square_lift(triple: tuple[int, int, int]) -> F2Point:
     """(m,n,k) on the Fricke surface -> (m^2, n^2, k^2) on the double."""
     m, n, k = triple
     if FRICKE.defect((m, n, k)) != 0:
-        raise OffSurface(f"{triple} is not a Markov triple")
+        raise OffSurface(f"{format_point(triple)} is not a Markov triple")
     return F2Point(m * m, n * n, k * k)
 
 
@@ -102,13 +102,13 @@ def sqrt_descend(p: F2Point) -> tuple[int, int, int]:
     out = []
     for v in p.coords:
         if v.denominator != 1 or v <= 0:
-            raise NotASquare(f"{v} is not a positive integer")
+            raise NotASquare(f"{format_rational(v)} is not a positive integer")
         r = math.isqrt(v.numerator)
         if r * r != v.numerator:
-            raise NotASquare(f"{v} is not a perfect square")
+            raise NotASquare(f"{format_rational(v)} is not a perfect square")
         out.append(r)
     if FRICKE.defect(out) != 0:
-        raise NotASquare(f"roots {tuple(out)} do not form a Markov triple")
+        raise NotASquare(f"roots {format_point(out)} do not form a Markov triple")
     return tuple(out)
 
 

@@ -89,10 +89,15 @@ def parse_rational(text: str) -> Fraction:
 
 def format_rational(value: Rat) -> str:
     """Serialize exactly, at any size: "num/den", with "/den" omitted when den == 1."""
-    q = Fraction(value)
-    if q.denominator == 1:
-        return _digits(q.numerator)
-    return f"{_digits(q.numerator)}/{_digits(q.denominator)}"
+    num, den = value.numerator, value.denominator
+    if den == 1:
+        return _digits(num)
+    return f"{_digits(num)}/{_digits(den)}"
+
+
+def format_point(values: Sequence[Rat]) -> str:
+    """A point for a message, "(a, b, c)", each coordinate by format_rational."""
+    return "(" + ", ".join(map(format_rational, values)) + ")"
 
 
 def common_denominator(values: Sequence[Rat]) -> tuple[list[int], int]:
@@ -122,10 +127,10 @@ class ProjectivePoint:
             raise ZeroVector("all projective coordinates are zero")
         g = math.gcd(*self.coords)
         if g != 1:
-            raise ValueError(f"coordinates not primitive: {self.coords}")
+            raise ValueError(f"coordinates not primitive: {self}")
         first = next(c for c in self.coords if c != 0)
         if first < 0:
-            raise ValueError(f"sign not normalized: {self.coords}")
+            raise ValueError(f"sign not normalized: {self}")
 
     def __str__(self) -> str:
         return "[" + ":".join(map(_digits, self.coords)) + "]"
@@ -205,15 +210,16 @@ class QuadraticIrrational:
         if self.b == 0 or self.d <= 1 or self.c <= 0:
             raise ValueError("not a normalized quadratic irrational")
         if math.isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"d={self.d} is a perfect square")
+            raise ValueError(f"d={format_rational(self.d)} is a perfect square")
         if _square_part(self.d) != 1:
-            raise ValueError(f"d={self.d} is not squarefree")
+            raise ValueError(f"d={format_rational(self.d)} is not squarefree")
         if math.gcd(self.a, self.b, self.c) != 1:
             raise ValueError("coordinates not primitive")
 
     def __str__(self) -> str:
         sign = "+" if self.b >= 0 else "-"
-        return f"({self.a}{sign}{abs(self.b)}√{self.d})/{self.c}"
+        a, b, d, c = map(format_rational, (self.a, abs(self.b), self.d, self.c))
+        return f"({a}{sign}{b}√{d})/{c}"
 
     def minimal_quadratic(self) -> tuple[int, int, int]:
         """Primitive (A, B, C), A > 0, with A*t^2 + B*t + C = 0 at this value."""
@@ -474,7 +480,7 @@ def line_third_intersection(
     """
     (a, b, c, u1, u2, u3), D = common_denominator((*p, *q))
     if (a, b, c) == (u1, u2, u3):
-        raise CoincidentPoints(f"{p} == {q}")
+        raise CoincidentPoints(f"both operands are {format_point(p)}")
     if not (a or b or c) or not (u1 or u2 or u3):
         raise OriginOperand("the surface origin has no secant composition")
 
@@ -506,7 +512,7 @@ def line_third_intersection(
     # c0 + c1 + c2 + c3 is sd*D**3 times the defect of p, and c0 that of q
     for pt, value in ((p, c0 + c1 + c2 + c3), (q, c0)):
         if value != 0:
-            raise OffSurface(f"{tuple(map(Fraction, pt))} is not on {surface}")
+            raise OffSurface(f"{format_point(pt)} is not on {surface}")
     if c3 == 0:
         return DEGENERATE_CUBIC
     # poly == c3 * t * (t - 1) * (t - t3)  =>  t3 = -(c2 + c3) / c3

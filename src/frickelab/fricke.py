@@ -23,7 +23,7 @@ from .exact import (
     Surface,
     ZeroArgument,
     common_denominator,
-    format_rational,
+    format_point,
     normalize_projective,
 )
 
@@ -55,8 +55,7 @@ class SurfacePoint:
         object.__setattr__(self, "y", Fraction(self.y))
         object.__setattr__(self, "z", Fraction(self.z))
         if self.surface.defect(self.coords) != 0:
-            point = ", ".join(map(format_rational, self.coords))
-            raise OffSurface(f"({point}) is not on the surface")
+            raise OffSurface(f"{format_point(self.coords)} is not on the surface")
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:

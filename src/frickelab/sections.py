@@ -34,6 +34,7 @@ from .exact import (
     Slope,
     Surface,
     common_denominator,
+    format_point,
     format_rational,
     is_rational_square,
     make_quadratic,
@@ -69,8 +70,8 @@ class SectionFrame:
         object.__setattr__(self, "n0", Fraction(self.n0))
         object.__setattr__(self, "k0", Fraction(self.k0))
         if not self.contains(self.m0, self.k0):
-            point = ", ".join(map(format_rational, (self.m0, self.n0, self.k0)))
-            raise OffSection(f"({point}) is not on the surface")
+            point = format_point((self.m0, self.n0, self.k0))
+            raise OffSection(f"{point} is not on the surface")
         if self.n0 == 0:
             raise OffSection("n0 = 0 degenerates the section")
         s, a, b = self.surface, self.n0.numerator, self.n0.denominator
@@ -104,8 +105,7 @@ class SectionPoint:
         object.__setattr__(self, "x", Fraction(self.x))
         object.__setattr__(self, "z", Fraction(self.z))
         if not self.frame.contains(self.x, self.z):
-            point = ", ".join(map(format_rational, self.xy))
-            raise OffSection(f"({point}) is not on the section")
+            raise OffSection(f"{format_point(self.xy)} is not on the section")
 
     @property
     def xy(self) -> tuple[Fraction, Fraction]:
@@ -120,7 +120,7 @@ def _on_frame(frame: SectionFrame, *points: SectionPoint) -> None:
     compared by value, so a frame and an equal one of a subclass agree."""
     for p in points:
         if p.frame is not frame and _FRAME_VALUE(p.frame) != _FRAME_VALUE(frame):
-            raise OffSection(f"({p.x}, {p.z}) is a point of another section frame")
+            raise OffSection(f"{format_point(p.xy)} is a point of another section frame")
 
 
 def solve_z(frame: SectionFrame, x: Rat) -> list[SectionPoint]:
@@ -149,7 +149,8 @@ def _hyperbola_beta(frame: SectionFrame) -> Fraction:
     """beta of the conic, or DomainError for an ellipse (beta^2 < 4)."""
     beta, _gamma = frame.conic
     if beta * beta < 4:
-        raise DomainError(f"beta^2 = {beta * beta} < 4: an ellipse has no real points at infinity")
+        square = format_rational(beta * beta)
+        raise DomainError(f"beta^2 = {square} < 4: an ellipse has no real points at infinity")
     return beta
 
 
@@ -243,7 +244,7 @@ def chebyshev_b(r: int, n0: Rat) -> Fraction:
     are admitted: they are forced by running the recurrence backwards.
     """
     if r < -2:
-        raise IndexZero(f"index {r} below the supported range")
+        raise IndexZero(f"index {format_rational(r)} below the supported range")
     if r < 0:
         return Fraction(r + 1)
     tau = 3 * Fraction(n0)
@@ -269,7 +270,8 @@ def _gradient(beta: Fraction, gamma: Fraction, x: Fraction, z: Fraction):
     """(C_x, C_z): the gradient of the section conic at (x, z), nonzero off a node."""
     cx, cz = 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
     if not (cx or cz):
-        raise SingularPoint(f"the section is singular at ({x}, {z}): it has no tangent there")
+        point = format_point((x, z))
+        raise SingularPoint(f"the section is singular at {point}: it has no tangent there")
     return cx, cz
 
 

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import DOUBLE, FRICKE, DomainError, Surface, format_rational
+from .exact import DOUBLE, FRICKE, DomainError, Surface, format_point, format_rational
 
 
 class RootOffSurface(DomainError):
@@ -28,12 +28,11 @@ class CanonicalTriple:
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.values)) != self.values:
-            raise ValueError(f"{self.values} is not sorted")
+            raise ValueError(f"{format_point(self.values)} is not sorted")
         s = self.surface
         if s.defect(self.values) != 0:
-            where = f"{s.name} with sigma = {s.sigma}" if s.sigma else s.name
-            point = ", ".join(map(format_rational, self.values))
-            raise RootOffSurface(f"({point}) is not on {where}")
+            where = f"{s.name} with sigma = {format_rational(s.sigma)}" if s.sigma else s.name
+            raise RootOffSurface(f"{format_point(self.values)} is not on {where}")
 
     @property
     def largest(self) -> int:
@@ -44,8 +43,7 @@ def canonical(values, surface: Surface = FRICKE) -> CanonicalTriple:
     """The sorted triple of integral values; a fractional entry is a DomainError."""
     values = tuple(values)
     if any(int(v) != v for v in values):
-        root = ", ".join(map(format_rational, values))
-        raise DomainError(f"root {root} has a non-integral entry")
+        raise DomainError(f"root {format_point(values)} has a non-integral entry")
     return CanonicalTriple(tuple(sorted(map(int, values))), surface)
 
 
@@ -159,5 +157,7 @@ def fundamental_point(n0: int) -> CanonicalTriple:
     """
     matches = fundamental_points(n0)
     if not matches:
-        raise NotAMarkovNumber(f"{n0} is not the maximum of any Markov triple searched")
+        raise NotAMarkovNumber(
+            f"{format_rational(n0)} is not the maximum of any Markov triple searched"
+        )
     return matches[0]

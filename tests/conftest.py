@@ -86,6 +86,15 @@ def f2_section_point_pool(frame: F2SectionFrame, rng: random.Random, count: int)
     return pool
 
 
+def markov_pair(digits: int) -> tuple[int, int]:
+    """(b, c) with (1, b, c) a Markov triple and c past ``digits`` digits:
+    the odd-Fibonacci branch (1, b, c) -> (1, c, 3c - b)."""
+    b, c, limit = 1, 2, 10**digits
+    while c < limit:
+        b, c = c, 3 * c - b
+    return b, c
+
+
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20250823)

@@ -1,13 +1,17 @@
 import json
+import re
 import subprocess
 import sys
 
 import pytest
 
-from frickelab.cli import build_parser, run
-from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, parse_rational
+from frickelab import canonical, generate, negative_tree
+from frickelab.cli import HANDLERS, build_parser, run
+from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, format_rational, parse_rational
 from frickelab.sections import chebyshev_b
 from frickelab.fricke import Finite, Infinite, Undefined
+
+from conftest import markov_pair
 
 
 def invoke(capsys, *argv):
@@ -182,6 +186,49 @@ class TestPlainFormat:
         assert code == 0 and out == "8\n"
 
 
+# stdout and exit code of --format plain and dot for the subcommands the golden
+# corpus covers in JSON only, recorded before the handlers took one shape
+PINNED = [
+    (('--format', 'plain', 'compose', '2,1,1', '1,2,5'), 0, "['15/4', '-3/4', '-6']\n"),
+    (('--format', 'plain', 'compose', '1,1,2', '1,2,5'), 0, "{'result': 'infinite', 'point': '[0:1:3:0]'}\n"),
+    (('--format', 'plain', 'compose', '1,1,2', '1,1,2'), 0, "{'result': 'undefined', 'reason': 'coincident-points'}\n"),
+    (('--format', 'plain', 'star', '2,1,1', '1,2,5'), 0, "['41/49', '85/77', '109/77']\n"),
+    (('--format', 'plain', 'negative-tree', '--n', '1', '--depth', '1'), 0, '[[-9, -1, 1], [-1, 0, 1]]\n'),
+    (('--format', 'plain', 'section-inverse', '--frame', '1,1,1', '2,1'), 0, "['1', '2']\n"),
+    (('--format', 'plain', 'dihedral', '--frame', '1,1,1', '--map', 'TA', '1,1'), 0, "['2', '1']\n"),
+    (('--format', 'plain', 'ta-power', '--frame', '1,1,1', '--r', '3', '1,1'), 0, "['13', '5']\n"),
+    (('--format', 'plain', 'convergent', '--frame', '1,1,1', '--r', '2'), 0, '8/3\n'),
+    (('--format', 'plain', 'param', '1', '2'), 0, "['1', '2', '1']\n"),
+    (('--format', 'plain', 'psi', '[1:1:2:1]'), 0, '[1:1:2]\n'),
+    (('--format', 'plain', 'p2-viete', '--generator', 'L', '[1:1:1]'), 0, '[1:2:1]\n'),
+    (('--format', 'plain', 'p2-compose', '[2:1:1]', '[1:2:5]'), 0, '[5:-1:-8]\n'),
+    (('--format', 'dot', 'compose', '2,1,1', '1,2,5'), 0, '{"result": ["15/4", "-3/4", "-6"]}\n'),
+    (('--format', 'dot', 'compose', '1,1,2', '1,2,5'), 0, '{"point": "[0:1:3:0]", "result": "infinite"}\n'),
+    (('--format', 'dot', 'compose', '1,1,2', '1,1,2'), 0, '{"reason": "coincident-points", "result": "undefined"}\n'),
+    (('--format', 'dot', 'star', '2,1,1', '1,2,5'), 0, '{"result": ["41/49", "85/77", "109/77"]}\n'),
+    (('--format', 'dot', 'negative-tree', '--n', '1', '--depth', '1'), 0, '{"result": [[-9, -1, 1], [-1, 0, 1]]}\n'),
+    (('--format', 'dot', 'section-inverse', '--frame', '1,1,1', '2,1'), 0, '{"result": ["1", "2"]}\n'),
+    (('--format', 'dot', 'dihedral', '--frame', '1,1,1', '--map', 'TA', '1,1'), 0, '{"result": ["2", "1"]}\n'),
+    (('--format', 'dot', 'ta-power', '--frame', '1,1,1', '--r', '3', '1,1'), 0, '{"result": ["13", "5"]}\n'),
+    (('--format', 'dot', 'convergent', '--frame', '1,1,1', '--r', '2'), 0, '{"result": "8/3"}\n'),
+    (('--format', 'dot', 'param', '1', '2'), 0, '{"result": ["1", "2", "1"]}\n'),
+    (('--format', 'dot', 'psi', '[1:1:2:1]'), 0, '{"result": "[1:1:2]"}\n'),
+    (('--format', 'dot', 'p2-viete', '--generator', 'L', '[1:1:1]'), 0, '{"result": "[1:2:1]"}\n'),
+    (('--format', 'dot', 'p2-compose', '[2:1:1]', '[1:2:5]'), 0, '{"result": "[5:-1:-8]"}\n'),
+]
+
+
+@pytest.mark.parametrize("argv, exit_code, stdout", PINNED, ids=[" ".join(a) for a, *_ in PINNED])
+def test_plain_and_dot_bytes(capsys, argv, exit_code, stdout):
+    code, out, _err = invoke(capsys, *argv)
+    assert (code, out) == (exit_code, stdout)
+
+
+def test_every_subcommand_has_one_handler():
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    assert set(HANDLERS) == set(sub.choices)
+
+
 class TestEntryPoint:
     def test_module_invocation(self):
         proc = subprocess.run(
@@ -342,3 +389,30 @@ class TestAnySize:
     def test_huge_value_in_an_error_message(self, capsys, argv):
         code, _out, err = invoke(capsys, *argv)
         assert code == 1 and HUGE in err and "Traceback" not in err
+
+
+def _numbers(text: str) -> list:
+    # json.loads has the same 4,300-digit limit as int(); parse_rational has none
+    return [parse_rational(n) for n in re.findall(r"-?[0-9]+", text)]
+
+
+class TestTreesAnySize:
+    """Trees print triples of any size as JSON and plain text."""
+
+    @pytest.mark.parametrize("fmt, head", [("json", '{"result": [[1, '), ("plain", "[[1, ")])
+    def test_tree(self, capsys, fmt, head):
+        b, c = markov_pair(4400)
+        root = f"1,{format_rational(b)},{format_rational(c)}"
+        code, out, err = invoke(capsys, "--format", fmt, "tree", "--root", root, "--depth", "1")
+        assert code == 0, err
+        assert out.startswith(head) and out.endswith("]]}\n" if fmt == "json" else "]]\n")
+        nodes = generate(canonical((1, b, c)), depth=1)
+        assert _numbers(out) == [v for node in nodes for v in node.triple.values]
+
+    @pytest.mark.parametrize("fmt, head", [("json", '{"result": [['), ("plain", "[[")])
+    def test_negative_tree(self, capsys, fmt, head):
+        n = "7" * 3000  # its triples reach 6,000 digits
+        code, out, err = invoke(capsys, "--format", fmt, "negative-tree", "--n", n, "--depth", "1")
+        assert code == 0, err
+        assert out.startswith(head) and out.endswith("]]}\n" if fmt == "json" else "]]\n")
+        assert _numbers(out) == [v for t in negative_tree(int(n), 1) for v in t]

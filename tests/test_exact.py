@@ -32,6 +32,8 @@ from frickelab.exact import (
 )
 from frickelab.sections import SectionFrame, infinity_points
 
+from conftest import markov_pair
+
 PRIMES = (1009, 7919, 104729, 1299709, 15485863)
 
 
@@ -285,3 +287,136 @@ class TestLineOracle:
             if t is DEGENERATE_CUBIC:
                 continue
             assert surface_defect("fricke", line_point(a.coords, b.coords, t.t)) == 0
+
+
+# -- messages at any size ------------------------------------------------------
+
+HUGE = 7**6000  # 5,071 digits: past the 4,300 that str() takes by default
+
+
+def _other_frame_point():
+    from frickelab.sections import SectionPoint, quadric_inverse
+
+    b, c = markov_pair(4400)
+    quadric_inverse(SectionFrame(1, 2, 5), SectionPoint(b, c, SectionFrame(1, 1, 1)))
+
+
+def _ellipse():
+    from frickelab.fricke import FrickeSurface
+
+    n0 = Fraction(1, HUGE)
+    infinity_points(SectionFrame(1, n0, 1, FrickeSurface(exact.FRICKE.defect((1, n0, 1)))))
+
+
+def _double_node():
+    # the node x = z = -2*n0/(4 - 9*n0) of a double section, a base point on
+    # the double surface shifted by sigma so that its section is a line pair
+    from dataclasses import replace
+
+    from frickelab.sections import SectionPoint, tangent_slope
+
+    n0 = Fraction(4, 9) + Fraction(1, HUGE)
+    node = -2 * n0 / (4 - 9 * n0)
+    surface = replace(exact.DOUBLE, sigma=exact.DOUBLE.defect((node, n0, node)))
+    frame = SectionFrame(node, n0, node, surface)
+    tangent_slope(frame, SectionPoint(node, node, frame))
+
+
+def _f2_point(*coords):
+    """A point of the double surface shifted by sigma to pass through coords."""
+    from dataclasses import replace
+
+    from frickelab.double_fricke import F2Point
+
+    return F2Point(*coords, replace(exact.DOUBLE, sigma=exact.DOUBLE.defect(coords)))
+
+
+def _message_cases():
+    from frickelab import double_fricke as df
+    from frickelab import sections, tree
+    from frickelab.fricke import FrickeSurface
+
+    b, c = markov_pair(4400)
+    n0 = Fraction(4, 9) + Fraction(1, HUGE)
+    S = HUGE * HUGE + 2  # P^2 + Q^2 + 1 of the chart at (HUGE, 1)
+    return [
+        ("sections._on_frame", _other_frame_point, sections.OffSection, c),
+        ("sections._hyperbola_beta", _ellipse, exact.DomainError, HUGE * HUGE),
+        ("sections._gradient", _double_node, exact.SingularPoint, -2 * n0 / (4 - 9 * n0)),
+        ("sections.chebyshev_b", lambda: sections.chebyshev_b(-HUGE, 1), sections.IndexZero, HUGE),
+        (
+            "exact.line_third_intersection coincident",
+            lambda: line_third_intersection((HUGE, 1, 1), (HUGE, 1, 1), "fricke"),
+            CoincidentPoints,
+            HUGE,
+        ),
+        (
+            "exact.line_third_intersection off surface",
+            lambda: line_third_intersection((HUGE, 1, 1), (1, 1, 1), "fricke"),
+            exact.OffSurface,
+            HUGE,
+        ),
+        (
+            "ProjectivePoint primitive",
+            lambda: ProjectivePoint((2 * HUGE, 2)),
+            ValueError,
+            2 * HUGE,
+        ),
+        ("ProjectivePoint sign", lambda: ProjectivePoint((-HUGE, 1)), ValueError, HUGE),
+        (
+            "QuadraticIrrational square",
+            lambda: QuadraticIrrational(0, 1, HUGE * HUGE, 1),
+            ValueError,
+            HUGE * HUGE,
+        ),
+        (
+            "QuadraticIrrational squarefree",
+            lambda: QuadraticIrrational(0, 1, 7 * HUGE * HUGE, 1),
+            ValueError,
+            7 * HUGE * HUGE,
+        ),
+        ("CanonicalTriple sorted", lambda: tree.CanonicalTriple((HUGE, 1, 1)), ValueError, HUGE),
+        (
+            "CanonicalTriple sigma",
+            lambda: tree.CanonicalTriple((1, 1, 1), FrickeSurface(HUGE)),
+            tree.RootOffSurface,
+            HUGE,
+        ),
+        ("tree.fundamental_point", lambda: tree.fundamental_point(HUGE), tree.NotAMarkovNumber, HUGE),
+        ("df.square_lift", lambda: df.square_lift((HUGE, 1, 1)), exact.OffSurface, HUGE),
+        (
+            "df.sqrt_descend integer",
+            lambda: df.sqrt_descend(df.f2_param_affine(HUGE, 1)),
+            df.NotASquare,
+            Fraction(S * S, 9 * HUGE * HUGE),
+        ),
+        (
+            "df.sqrt_descend square",
+            lambda: df.sqrt_descend(_f2_point(7 * HUGE, 1, 1)),
+            df.NotASquare,
+            7 * HUGE,
+        ),
+        (
+            "df.sqrt_descend roots",
+            lambda: df.sqrt_descend(_f2_point(HUGE * HUGE, 1, 1)),
+            df.NotASquare,
+            HUGE,
+        ),
+    ]
+
+
+@pytest.mark.parametrize(
+    "site, raise_, error, value", _message_cases(), ids=[c[0] for c in _message_cases()]
+)
+def test_message_carries_every_digit(monkeypatch, site, raise_, error, value):
+    # no search reaches a 5,071-digit maximum: an empty search stands in for it
+    monkeypatch.setattr("frickelab.tree.fundamental_points", lambda n0: [])
+    with pytest.raises(error) as info:
+        raise_()
+    assert format_rational(value) in str(info.value)
+
+
+def test_quadratic_irrational_prints_every_digit():
+    assert str(QuadraticIrrational(3, -1, 5, 2)) == "(3-1√5)/2"
+    text = str(QuadraticIrrational(HUGE, 1, 2, 1))
+    assert text == f"({format_rational(HUGE)}+1√2)/1"

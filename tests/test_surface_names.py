@@ -1,4 +1,4 @@
-"""Surface names are resolved in one place: ``cli.py``, which parses ``--surface``.
+"""Surface names are resolved in one place: ``cli.run``, which parses ``--surface``.
 
 Every law takes the ``Surface`` record itself, so no module of the package
 other than ``exact.py`` (which defines it) and ``cli.py`` may refer to the
@@ -36,3 +36,14 @@ def test_surfaces_only_in_exact_and_cli():
         if _refers_to_surfaces(node)
     ]
     assert found == []
+
+
+def test_cli_resolves_a_name_at_one_site():
+    # ``run`` turns --surface into its record once; handlers read the record
+    cli = next(p for p in SOURCES if p.name == "cli.py")
+    found = [
+        node.lineno
+        for node in ast.walk(ast.parse(cli.read_text(), filename=str(cli)))
+        if isinstance(node, ast.Subscript) and _refers_to_surfaces(node.value)
+    ]
+    assert len(found) == 1
