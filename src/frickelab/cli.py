@@ -30,6 +30,7 @@ from .exact import (
     format_rational,
     line_point,
     line_third_intersection,
+    parse_integer,
     parse_projective,
     parse_rational,
 )
@@ -59,8 +60,17 @@ def _parse_p2(arity: int):
     return parse
 
 
+def _integer(text: str) -> int:
+    """An integer option of any length, by parse_rational's digit rule; a usage
+    error reads as argparse's own for type=int."""
+    try:
+        return parse_integer(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
+    value = _integer(text)
     if value <= 0:
         raise argparse.ArgumentTypeError(f"expected a positive integer: {text!r}")
     return value
@@ -139,15 +149,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("tree", help="Vieta tree enumeration")
     surface_opt(p)
     p.add_argument("--root", type=_parse_rationals(3), default=(1, 1, 1))
-    p.add_argument("--depth", type=int)
-    p.add_argument("--max-component", type=int)
+    p.add_argument("--depth", type=_integer)
+    p.add_argument("--max-component", type=_integer)
 
     p = sub.add_parser("frobenius", help="largest-component uniqueness scan")
-    p.add_argument("--max-component", type=int, required=True)
+    p.add_argument("--max-component", type=_integer, required=True)
 
     p = sub.add_parser("negative-tree", help="F^2 tree from (-n, 0, n)")
     p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--depth", type=int, required=True)
+    p.add_argument("--depth", type=_integer, required=True)
 
     for name in ("section-add", "section-double", "section-inverse"):
         p = sub.add_parser(name, help=f"{name.split('-')[1]} in the section group")
@@ -164,12 +174,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ta-power", help="closed-form r-th power of TA or TC")
     p.add_argument("--frame", type=_parse_rationals(3), required=True)
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.add_argument("--family", choices=("TA", "TC"), default="TA")
     p.add_argument("p", type=_parse_rationals(2))
 
     p = sub.add_parser("chebyshev", help="b_r(n0)")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.add_argument("--n0", type=parse_rational, required=True)
 
     p = sub.add_parser("infinity", help="section points at infinity")
@@ -177,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--frame", type=_parse_rationals(3), required=True)
 
     p = sub.add_parser("convergent", help="minus-continued-fraction convergent b_r/b_{r-1}")
-    p.add_argument("--r", type=int, required=True)
+    p.add_argument("--r", type=_integer, required=True)
     p.add_argument("--frame", type=_parse_rationals(3), required=True)
 
     p = sub.add_parser("param", help="affine chart (P,Q) -> surface point")
@@ -204,8 +214,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("q", type=_parse_p2(3))
 
     p = sub.add_parser("check", help="seeded randomized property check")
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--pairs", type=int, default=50)
+    p.add_argument("--seed", type=_integer, default=0)
+    p.add_argument("--pairs", type=_integer, default=50)
 
     return top
 
@@ -214,12 +224,13 @@ class CheckFailed(Exception):
     """A law disagreed with the line-cubic oracle in ``check``."""
 
 
-def _run_check(seed: int, pairs: int) -> dict:
+def _run_check(seed: int, pairs: int) -> int:
     """Randomized oracle-equivalence check on both surfaces.
 
     Each composition of two distinct chart points must agree with the
     oracle: a Finite point lies at the oracle's parameter, an Infinite one
     answers a degenerate cubic, and an Undefined one is always a mismatch.
+    Returns the number of chart pairs checked.
     """
     rng = random.Random(seed)
 
@@ -256,13 +267,22 @@ def _run_check(seed: int, pairs: int) -> dict:
                     f" the line-cubic oracle {expected}"
                 )
         checked += 1
-    return {"result": "ok", "seed": seed, "pairs-checked": checked}
+    return checked
+
+
+def _check(args) -> str:
+    """check's payload as its own text, so that the seed is echoed at any
+    size: JSON, or under --format plain the repr of the same dict."""
+    checked, seed = _run_check(args.seed, args.pairs), format_rational(args.seed)
+    if args.format == "plain":
+        return f"{{'result': 'ok', 'seed': {seed}, 'pairs-checked': {checked}}}"
+    return f'{{"pairs-checked": {checked}, "result": "ok", "seed": {seed}}}'
 
 
 # -- one handler per subcommand, with args.surface resolved to its record ----
 # A handler returns what its law returns, and ``run`` prints {"result": _ser(out)};
-# compose, star, frobenius and check return their own payload (a dict), and the
-# tree commands their own text (a str): DOT, or integer triples at any size.
+# compose, star and frobenius return their own payload (a dict), and check and
+# the tree commands their own text (a str): DOT, or integers at any size.
 
 
 def _compose(args) -> dict:
@@ -331,7 +351,7 @@ HANDLERS = {
     "psi": lambda args: fricke.psi(args.p),
     "p2-viete": lambda args: fricke.p2_viete(args.p, args.generator, args.surface),
     "p2-compose": lambda args: fricke.p2_compose(args.p, args.q, args.surface),
-    "check": lambda args: _run_check(args.seed, args.pairs),
+    "check": _check,
 }
 
 

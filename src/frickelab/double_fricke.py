@@ -87,7 +87,7 @@ def nielsen(p: F2Point, generator: str) -> F2Point:
 def square_lift(triple: tuple[int, int, int]) -> F2Point:
     """(m,n,k) on the Fricke surface -> (m^2, n^2, k^2) on the double."""
     m, n, k = triple
-    if FRICKE.defect((m, n, k)) != 0:
+    if not FRICKE.contains((m, n, k)):
         raise OffSurface(f"{format_point(triple)} is not a Markov triple")
     return F2Point(m * m, n * n, k * k)
 
@@ -107,7 +107,7 @@ def sqrt_descend(p: F2Point) -> tuple[int, int, int]:
         if r * r != v.numerator:
             raise NotASquare(f"{format_rational(v)} is not a perfect square")
         out.append(r)
-    if FRICKE.defect(out) != 0:
+    if not FRICKE.contains(out):
         raise NotASquare(f"roots {format_point(out)} do not form a Markov triple")
     return tuple(out)
 

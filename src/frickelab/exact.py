@@ -51,7 +51,8 @@ class ZeroArgument(DomainError):
 # rationals: parsing and wire format
 
 
-_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+_INTEGER = re.compile(r"[+-]?[0-9]+")
+_RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
 
 def _int(digits: str) -> int:
@@ -87,6 +88,18 @@ def parse_rational(text: str) -> Fraction:
         raise ValueError(f"zero denominator: {text!r}") from None
 
 
+def parse_integer(text: str) -> int:
+    """Parse an optionally signed integer by parse_rational's digit rule.
+
+    Surrounding whitespace is allowed and numbers of any length are read;
+    raises ValueError on anything else.
+    """
+    match = _INTEGER.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not an integer: {text!r}")
+    return _int(match.group())
+
+
 def format_rational(value: Rat) -> str:
     """Serialize exactly, at any size: "num/den", with "/den" omitted when den == 1."""
     num, den = value.numerator, value.denominator
@@ -103,9 +116,9 @@ def format_point(values: Sequence[Rat]) -> str:
 def common_denominator(values: Sequence[Rat]) -> tuple[list[int], int]:
     """(numerators, d): the values written as integers over d, the lcm of
     their denominators, so that value i is numerators[i] / d."""
-    fracs = [v if isinstance(v, (int, Fraction)) else Fraction(v) for v in values]
-    d = math.lcm(*[f.denominator for f in fracs])
-    return [f.numerator * (d // f.denominator) for f in fracs], d
+    ratios = [(v if isinstance(v, (int, Fraction)) else Fraction(v)).as_integer_ratio() for v in values]
+    d = math.lcm(*[den for _num, den in ratios])
+    return [num * (d // den) for num, den in ratios], d
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +411,25 @@ class Surface:
             return self.kappa * u * v - 2 * (u + v) - w
         return self.kappa * u * v - w
 
-    def defect(self, p: Sequence[Rat]) -> Fraction:
-        """Q(p) - kappa*xyz - sigma, zero iff p lies on the surface: in
-        integers, (Q(X, Y, Z)*d - kappa*XYZ)/d^3 - sigma for p = (X, Y, Z)/d."""
+    def _residual(self, p: Sequence[Rat]) -> tuple[int, int]:
+        """(r, d) with Q(p) - kappa*xyz = r/d^3: for p = (X, Y, Z)/d over one
+        common denominator, r = Q(X, Y, Z)*d - kappa*XYZ."""
         (X, Y, Z), d = common_denominator(p)
-        defect = Fraction(self.quad(X, Y, Z) * d - self.kappa * X * Y * Z, d * d * d)
+        return self.quad(X, Y, Z) * d - self.kappa * X * Y * Z, d
+
+    def contains(self, p: Sequence[Rat]) -> bool:
+        """Whether p lies on the surface, decided in integers: with
+        sigma = s_n/s_d, whether r*s_d == s_n*d^3 for the residual r/d^3."""
+        r, d = self._residual(p)
+        if not self.sigma:
+            return r == 0
+        s_n, s_d = self.sigma.as_integer_ratio()
+        return r * s_d == s_n * d * d * d
+
+    def defect(self, p: Sequence[Rat]) -> Fraction:
+        """Q(p) - kappa*xyz - sigma as a Fraction, from the same residual."""
+        r, d = self._residual(p)
+        defect = Fraction(r, d * d * d)
         return defect - self.sigma if self.sigma else defect
 
 

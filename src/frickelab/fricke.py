@@ -51,10 +51,13 @@ class SurfacePoint:
     surface: Surface
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "y", Fraction(self.y))
-        object.__setattr__(self, "z", Fraction(self.z))
-        if self.surface.defect(self.coords) != 0:
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if type(self.y) is not Fraction:
+            object.__setattr__(self, "y", Fraction(self.y))
+        if type(self.z) is not Fraction:
+            object.__setattr__(self, "z", Fraction(self.z))
+        if not self.surface.contains(self.coords):
             raise OffSurface(f"{format_point(self.coords)} is not on the surface")
 
     @property

@@ -9,14 +9,17 @@ commutative group law: A + B is the second intersection with the conic
 of the line through O parallel to the chord AB (Lemmermeyer, "Conics - a
 poor man's elliptic curves", arXiv:math/0311306).  Sums, doubles and
 inverses share one chord: the second point on the line through a point
-in a direction (B - A, or the tangent (C_z, -C_x)), computed in integers
-over one common denominator.  The node of a section that is a line pair
-has no tangent: SingularPoint.  The module also covers the points at
-infinity, the dihedral transforms of a section (the frame's own Vieta
-moves in x and in z, the swap, and B = -1 on Fricke sections), and their
-closed forms: the powers of TA and TC, b_r and the minus continued
-fraction convergents all read off one Lucas sequence U_r(-beta),
-computed in integers by doubling.
+in an integer direction (B - A over the points' common denominator, or
+the tangent (C_z, -C_x) from the integer gradient, a positive multiple of
+the conic's), computed in integers over one common denominator; the chord
+is homogeneous of degree 2 in the direction, so its scale does not
+matter.  Frames and points are validated by ``Surface.contains``.  The
+node of a section that is a line pair has no tangent: SingularPoint.
+The module also covers the points at infinity, the dihedral transforms
+of a section (the frame's own Vieta moves in x and in z, the swap, and
+B = -1 on Fricke sections), and their closed forms: the powers of TA and
+TC, b_r and the minus continued fraction convergents all read off one
+Lucas sequence U_r(-beta), computed in integers by doubling.
 """
 from __future__ import annotations
 
@@ -66,9 +69,12 @@ class SectionFrame:
     conic: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "m0", Fraction(self.m0))
-        object.__setattr__(self, "n0", Fraction(self.n0))
-        object.__setattr__(self, "k0", Fraction(self.k0))
+        if type(self.m0) is not Fraction:
+            object.__setattr__(self, "m0", Fraction(self.m0))
+        if type(self.n0) is not Fraction:
+            object.__setattr__(self, "n0", Fraction(self.n0))
+        if type(self.k0) is not Fraction:
+            object.__setattr__(self, "k0", Fraction(self.k0))
         if not self.contains(self.m0, self.k0):
             point = format_point((self.m0, self.n0, self.k0))
             raise OffSection(f"{point} is not on the surface")
@@ -92,7 +98,7 @@ class SectionFrame:
         )
 
     def contains(self, x: Rat, z: Rat) -> bool:
-        return self.surface.defect((x, self.n0, z)) == 0
+        return self.surface.contains((x, self.n0, z))
 
 
 @dataclass(frozen=True, slots=True)
@@ -102,8 +108,10 @@ class SectionPoint:
     frame: SectionFrame
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "x", Fraction(self.x))
-        object.__setattr__(self, "z", Fraction(self.z))
+        if type(self.x) is not Fraction:
+            object.__setattr__(self, "x", Fraction(self.x))
+        if type(self.z) is not Fraction:
+            object.__setattr__(self, "z", Fraction(self.z))
         if not self.frame.contains(self.x, self.z):
             raise OffSection(f"{format_point(self.xy)} is not on the section")
 
@@ -266,27 +274,39 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
 # -- the group law -------------------------------------------------------------
 
 
-def _gradient(beta: Fraction, gamma: Fraction, x: Fraction, z: Fraction):
-    """(C_x, C_z): the gradient of the section conic at (x, z), nonzero off a node."""
-    cx, cz = 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
+def _in_integers(frame: SectionFrame, x: Rat, z: Rat):
+    """(X, Z, d, B, gx, gz): the point (x, z) = (X, Z)/d and beta = B/d over one
+    common denominator d with the conic's gamma, and the integer gradient
+    (gx, gz) = d^2*(C_x, C_z) of the section conic at (x, z)."""
+    (b, g, x, z), d = common_denominator((*frame.conic, x, z))
+    return x, z, d, b, 2 * d * x + b * z + d * g, 2 * d * z + b * x + d * g
+
+
+def _gradient(frame: SectionFrame, x: Rat, z: Rat) -> tuple[int, int]:
+    """(C_x, C_z) times a positive integer: the gradient of the section conic
+    at (x, z) in integers, nonzero off a node."""
+    *_, cx, cz = _in_integers(frame, x, z)
     if not (cx or cz):
         point = format_point((x, z))
         raise SingularPoint(f"the section is singular at {point}: it has no tangent there")
     return cx, cz
 
 
-def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, dx: Rat, dz: Rat):
-    """Second intersection with the section of the line (x0 + u*dx, z0 + u*dz).
+def _second_point(frame: SectionFrame, x0: Rat, z0: Rat, u: int, w: int) -> SectionPoint:
+    """Second intersection with the section of the line (x0 + t*u, z0 + t*w)
+    in the integer direction (u, w).
 
-    Along it the conic is u*(C_x*dx + C_z*dz) + u^2*(dx^2 + beta*dx*dz + dz^2),
-    with the gradient taken at (x0, z0).  With beta, gamma, x0, z0, dx, dz
-    written as (B, G, X, Z, U, W)/d, both coefficients times d^3 are integers.
+    Along it the conic is t*(C_x*u + C_z*w) + t^2*(u^2 + beta*u*w + w^2),
+    with the gradient taken at (x0, z0).  With x0, z0 and beta written as
+    (X, Z, B)/d, both coefficients times a power of d are integers.  The
+    point is homogeneous of degree 2 in (u, w), so every nonzero multiple
+    of a direction gives the same point.
     """
-    (b, g, x, z, u, w), d = common_denominator((*frame.conic, x0, z0, dx, dz))
+    x, z, d, b, cx, cz = _in_integers(frame, x0, z0)
     lead = d * (u * u + w * w) + b * u * w
     if lead == 0:
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
-    lin = (2 * d * x + b * z + d * g) * u + (2 * d * z + b * x + d * g) * w
+    lin = cx * u + cz * w
     x, z, den = x * lead - lin * u, z * lead - lin * w, d * lead
     return SectionPoint(Fraction(x, den), Fraction(z, den), frame)
 
@@ -294,8 +314,8 @@ def _second_point(frame: SectionFrame, x0: Fraction, z0: Fraction, dx: Rat, dz: 
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
     """Slope of the tangent line to the section at p."""
     _on_frame(frame, p)
-    cx, cz = _gradient(*frame.conic, p.x, p.z)
-    return -cx / cz if cz else AT_INFINITY
+    cx, cz = _gradient(frame, p.x, p.z)
+    return Fraction(-cx, cz) if cz else AT_INFINITY
 
 
 def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> SectionPoint:
@@ -303,13 +323,14 @@ def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> Sect
     _on_frame(frame, p1, p2)
     if p1.xy == p2.xy:
         return quadric_double(frame, p1)
-    return _second_point(frame, frame.m0, frame.k0, p2.x - p1.x, p2.z - p1.z)
+    (x1, z1, x2, z2), _d = common_denominator((p1.x, p1.z, p2.x, p2.z))
+    return _second_point(frame, frame.m0, frame.k0, x2 - x1, z2 - z1)
 
 
 def quadric_double(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     """P + P, via the chord through O parallel to the tangent at P."""
     _on_frame(frame, p)
-    cx, cz = _gradient(*frame.conic, p.x, p.z)
+    cx, cz = _gradient(frame, p.x, p.z)
     return _second_point(frame, frame.m0, frame.k0, cz, -cx)
 
 
@@ -320,5 +341,5 @@ def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     to the tangent at O.
     """
     _on_frame(frame, p)
-    cx, cz = _gradient(*frame.conic, frame.m0, frame.k0)
+    cx, cz = _gradient(frame, frame.m0, frame.k0)
     return _second_point(frame, p.x, p.z, cz, -cx)

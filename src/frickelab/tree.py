@@ -30,7 +30,7 @@ class CanonicalTriple:
         if tuple(sorted(self.values)) != self.values:
             raise ValueError(f"{format_point(self.values)} is not sorted")
         s = self.surface
-        if s.defect(self.values) != 0:
+        if not s.contains(self.values):
             where = f"{s.name} with sigma = {format_rational(s.sigma)}" if s.sigma else s.name
             raise RootOffSurface(f"{format_point(self.values)} is not on {where}")
 

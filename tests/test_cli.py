@@ -26,6 +26,14 @@ def invoke_json(capsys, *argv):
     return json.loads(out)
 
 
+def invoke_usage(capsys, *argv):
+    """run() on argv that argparse rejects: its exit code, stdout and stderr."""
+    with pytest.raises(SystemExit) as exit_info:
+        run(list(argv))
+    captured = capsys.readouterr()
+    return exit_info.value.code, captured.out, captured.err
+
+
 class TestCompose:
     def test_fricke_example(self, capsys):
         payload = invoke_json(capsys, "compose", "--surface", "fricke", "2,1,1", "1,2,5")
@@ -416,3 +424,53 @@ class TestTreesAnySize:
         assert code == 0, err
         assert out.startswith(head) and out.endswith("]]}\n" if fmt == "json" else "]]\n")
         assert _numbers(out) == [v for t in negative_tree(int(n), 1) for v in t]
+
+
+class TestIntegerOptions:
+    """Integer options are read by parse_rational's digit rule, at any length."""
+
+    def test_negative_tree_past_the_digit_limit(self, capsys):
+        n = "7" * 4400
+        code, out, err = invoke(capsys, "negative-tree", "--n", n, "--depth", "0")
+        assert code == 0, err
+        assert _numbers(out) == [v for t in negative_tree(parse_rational(n), 0) for v in t]
+
+    @pytest.mark.parametrize("fmt", ["json", "plain"])
+    @pytest.mark.parametrize("seed", ["7", "-" + "7" * 4400])
+    def test_check_echoes_its_seed(self, capsys, fmt, seed):
+        code, out, err = invoke(capsys, "--format", fmt, "check", "--seed", seed, "--pairs", "2")
+        assert code == 0, err
+        if fmt == "plain":
+            assert out == f"{{'result': 'ok', 'seed': {seed}, 'pairs-checked': 2}}\n"
+        else:
+            assert out == f'{{"pairs-checked": 2, "result": "ok", "seed": {seed}}}\n'
+        if len(seed) < 10:  # the JSON and the repr of the payload dict
+            payload = {"result": "ok", "seed": int(seed), "pairs-checked": 2}
+            assert out == (str(payload) if fmt == "plain" else json.dumps(payload, sort_keys=True)) + "\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--depth", HUGE, "--max-component", "5"],
+            ["tree", "--depth", "1", "--max-component", HUGE],
+            ["ta-power", "--frame", "1,1,1", "--r", "-" + HUGE, "1,1"],
+            ["chebyshev", "--r", "-" + HUGE, "--n0", "3"],
+            ["convergent", "--r", "-" + HUGE, "--frame", "1,5,2"],
+        ],
+    )
+    def test_long_integer_options_are_read(self, capsys, argv):
+        code, _out, err = invoke(capsys, *argv)
+        assert code in (0, 1) and "usage" not in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("value", ["x", "1.5", "1/2", "1_000", "0x10", "", "+", " 1 2"])
+    @pytest.mark.parametrize("option", ["--r", "--n"])
+    def test_malformed_integers_are_usage_errors(self, capsys, option, value):
+        argv = ["chebyshev", "--n0", "3"] if option == "--r" else ["negative-tree", "--depth", "0"]
+        code, out, err = invoke_usage(capsys, *argv, option, value)
+        assert code == 2 and out == ""
+        assert err.endswith(f"error: argument {option}: invalid int value: {value!r}\n")
+
+    def test_signs_and_spaces_as_before(self, capsys):
+        assert invoke_json(capsys, "chebyshev", "--r", " +3 ", "--n0", "1") == {"result": "21"}
+        code, _out, err = invoke_usage(capsys, "negative-tree", "--n", "-0", "--depth", "0")
+        assert code == 2 and "expected a positive integer: '-0'" in err

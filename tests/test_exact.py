@@ -105,6 +105,17 @@ class TestRationalWire:
             assert parse_rational(format_rational(q)) == q
         assert str(ProjectivePoint((big, -1))) == f"[{format_rational(big)}:-1]"
 
+    @pytest.mark.parametrize(
+        "text", ["1e3", "1.5", "1_000", "1/2", "3/1", "+-1", "١", "0x10", "", "-"]
+    )
+    def test_integers_by_the_same_digit_rule(self, text):
+        with pytest.raises(ValueError):
+            exact.parse_integer(text)
+
+    def test_integers_of_any_size(self):
+        assert exact.parse_integer(" -12\n") == -12 and exact.parse_integer("+6") == 6
+        assert exact.parse_integer("7" * 4400) == parse_rational("7" * 4400)
+
 
 class TestQuadraticIrrational:
     def test_normalizes_square_part(self):

@@ -1,8 +1,10 @@
 """Property tests of the kernels that compute in integers over one common
 denominator per point: ``compose`` against the line-cubic oracle,
-``surface_defect`` against the surface polynomial in plain Fractions, and
-the oracle, ``line_point`` and the affine charts against Fraction
-transcriptions of their definitions written out here."""
+``surface_defect`` against the surface polynomial in plain Fractions,
+``Surface.contains`` against a zero defect, the oracle, ``line_point`` and
+the affine charts against Fraction transcriptions of their definitions
+written out here, and the section chord and ``tangent_slope`` against
+their slope forms and under scaling of the integer direction."""
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -43,8 +45,9 @@ from frickelab.exact import (
     OriginOperand,
     SingularPoint,
     ZeroArgument,
+    common_denominator,
 )
-from frickelab.sections import DenominatorVanishes
+from frickelab.sections import DenominatorVanishes, _gradient, _second_point, tangent_slope
 from frickelab.tree import canonical, generate
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
@@ -118,6 +121,93 @@ def test_surface_defect_matches_polynomial(name, triple, sigma):
     assert surface_defect(name, triple, plain_defect(name, triple, 0)) == 0
     # the record subtracts its own sigma
     assert replace(SURFACES[name], sigma=sigma).defect(triple) == plain_defect(name, triple, sigma)
+
+
+# -- membership: contains against a zero defect ------------------------------
+
+SIGMAS = (0, -4, Fraction(9, 4), Fraction(25, 36))
+# one point of each sigma-surface; Vieta moves reach taller ones, and the
+# integral seeds keep int coordinates
+SIGMA_SEEDS = {
+    ("fricke", 0): (1, 1, 1),
+    ("fricke", -4): (1, 2, 3),
+    ("fricke", Fraction(9, 4)): (-2, Fraction(1, 2), -1),
+    ("fricke", Fraction(25, 36)): (-1, Fraction(1, 2), Fraction(-2, 3)),
+    ("double", 0): (1, 4, 25),
+    ("double", -4): (-2, Fraction(2, 3), Fraction(-2, 3)),
+    ("double", Fraction(9, 4)): (-3, Fraction(1, 2), Fraction(-1, 2)),
+    ("double", Fraction(25, 36)): (Fraction(-1, 6), Fraction(1, 3), Fraction(1, 2)),
+}
+shifts = st.one_of(st.just(0), st.integers(-5, 5), rationals)
+
+
+def coordinate_types(values, as_fractions):
+    """Every value as a Fraction, or every integral one as an int."""
+    if as_fractions:
+        return [Fraction(v) for v in values]
+    return [int(v) if Fraction(v).denominator == 1 else v for v in values]
+
+
+def assert_contains_iff_zero_defect(surface, p):
+    on = surface.contains(p)
+    assert type(on) is bool
+    assert on == (surface.defect(p) == 0)
+    assert on == (plain_defect(surface.name, p, surface.sigma) == 0)
+    return on
+
+
+@KERNEL_SETTINGS
+@given(
+    surfaces,
+    st.sampled_from(SIGMAS),
+    st.lists(st.integers(0, 2), max_size=40),
+    st.permutations(range(3)),
+    st.integers(0, 2),
+    shifts,
+    st.booleans(),
+)
+def test_contains_iff_zero_defect_on_sigma_orbits(base, sigma, moves, order, i, shift, as_fractions):
+    surface = replace(base, sigma=Fraction(sigma))
+    p = list(SIGMA_SEEDS[surface.name, sigma])
+    for k in moves:
+        u, v = (p[j] for j in range(3) if j != k)
+        w = surface.other_root(u, v, p[k])
+        if max(abs(w.numerator), w.denominator) > HEIGHT:
+            break
+        p[k] = w
+    p = coordinate_types([p[j] for j in order], as_fractions)
+    assert assert_contains_iff_zero_defect(surface, p)
+    p[i] += shift
+    assert_contains_iff_zero_defect(surface, coordinate_types(p, as_fractions))
+
+
+@KERNEL_SETTINGS
+@given(
+    surfaces,
+    st.sampled_from(SIGMAS),
+    chart_parameters,
+    chart_parameters,
+    st.integers(0, 2),
+    shifts,
+    st.booleans(),
+)
+def test_contains_iff_zero_defect_on_tall_charts(base, sigma, P, Q, i, shift, as_fractions):
+    p = coordinate_types(CHARTS[base.name](P, Q).coords, as_fractions)
+    surface = replace(base, sigma=Fraction(sigma))
+    assert assert_contains_iff_zero_defect(surface, p) == (sigma == 0)
+    p[i] += shift
+    assert_contains_iff_zero_defect(surface, coordinate_types(p, as_fractions))
+
+
+def test_contains_off_surface_points():
+    # each seed, and the seed moved off its surface, in each coordinate type
+    for (name, sigma), seed in SIGMA_SEEDS.items():
+        surface = replace(SURFACES[name], sigma=Fraction(sigma))
+        for as_fractions in (False, True):
+            assert surface.contains(coordinate_types(seed, as_fractions))
+            off = coordinate_types((seed[0] + 3, *seed[1:]), as_fractions)
+            assert not surface.contains(off)
+            assert surface.defect(off) != 0
 
 
 # -- the line-cubic oracle against its Fraction-polynomial definition ---------
@@ -510,3 +600,42 @@ def test_chord_kernel_on_tall_sigma_frames(surface, triple, slopes):
         assert section_outcome(quadric_inverse, frame, p) == outcome(slope_inverse, frame, p)
         for q in points[:4]:
             assert section_outcome(quadric_add, frame, p, q) == outcome(slope_add, frame, p, q)
+
+
+def integer_directions(frame, pool):
+    """Integer chord directions: differences of pool points over their common
+    denominator, scaled gradients, and the asymptotic directions, along which
+    the chord kernel raises DenominatorVanishes."""
+    directions = [(1, 1), (1, 2), (2, 1), (0, 1), (1, 0)]
+    for p, q in zip(pool, pool[1:]):
+        (x1, z1, x2, z2), _d = common_denominator((p.x, p.z, q.x, q.z))
+        if (x1, z1) != (x2, z2):
+            directions.append((x2 - x1, z2 - z1))
+        got = outcome(_gradient, frame, p.x, p.z)
+        if isinstance(got, tuple):
+            directions.append((got[1], -got[0]))
+    return directions
+
+
+@pytest.mark.parametrize("name", [*SECTION_FRAMES, *LINE_PAIRS])
+def test_chord_kernel_is_homogeneous_in_its_direction(name):
+    frame, pool = section_pool(name, random.Random(name))
+    seen = set()
+    for p in pool[:8]:
+        for u, w in integer_directions(frame, pool):
+            got = section_outcome(_second_point, frame, p.x, p.z, u, w)
+            seen.add(got if isinstance(got, type) else "point")
+            for scale in (-3, 2, 7):
+                assert section_outcome(_second_point, frame, p.x, p.z, scale * u, scale * w) == got
+    assert "point" in seen
+    if name in LINE_PAIRS or "parabola" in name:
+        assert DenominatorVanishes in seen
+
+
+@pytest.mark.parametrize("name", [*SECTION_FRAMES, *LINE_PAIRS])
+def test_tangent_slope_matches_slope_form(name):
+    frame, pool = section_pool(name, random.Random(name))
+    for p in pool:
+        got = outcome(tangent_slope, frame, p)
+        assert got == outcome(slope_of_tangent, frame, p.x, p.z)
+        assert got in (AT_INFINITY, SingularPoint) or type(got) is Fraction
