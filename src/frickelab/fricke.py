@@ -22,7 +22,7 @@ from .exact import (
     SingularPoint,
     Surface,
     ZeroArgument,
-    common_denominator,
+    _over_one_denominator,
     format_point,
     normalize_projective,
 )
@@ -194,8 +194,8 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     if p.is_origin or q.is_origin:
         return Undefined(UNDEFINED_ORIGIN)
     s = p.surface
-    (a, b, c), d1 = common_denominator(p.coords)
-    (m, n, k), d2 = common_denominator(q.coords)
+    a, b, c, d1 = _over_one_denominator(p.coords)
+    m, n, k, d2 = _over_one_denominator(q.coords)
     # (p - q)*d1*d2: zero exactly where the coordinate differences are
     da, db, dc = a * d2 - m * d1, b * d2 - n * d1, c * d2 - k * d1
     if da and db and dc:

@@ -13,16 +13,22 @@ in an integer direction (B - A over the points' common denominator, or
 the tangent (C_z, -C_x) from the integer gradient, a positive multiple of
 the conic's), computed in integers over one common denominator; the chord
 is homogeneous of degree 2 in the direction, so its scale does not
-matter.  Frames and points are validated by ``Surface.contains``.  The
-node of a section that is a line pair has no tangent: SingularPoint.
-The module also covers the points at infinity, the dihedral transforms
-of a section (the frame's own Vieta moves in x and in z, the swap, and
-B = -1 on Fricke sections), and their closed forms: the powers of TA and
-TC, b_r and the minus continued fraction convergents all read off one
-Lucas sequence U_r(-beta), computed in integers by doubling.
+matter.  The chord's four values (beta, gamma, x, z) and the two points
+of a sum are brought over their common denominator by one fixed-arity
+four-value conversion on ``exact._ratio``, not by the variable-arity
+``common_denominator``.  Frames and points are validated by
+``Surface.contains``.  The node of a section that is a line pair has no
+tangent: SingularPoint.  The module also covers the points at
+infinity, the dihedral transforms of a section (the frame's own Vieta
+moves in x and in z, the swap, and B = -1 on Fricke sections), and their
+closed forms: the powers of TA and TC, b_r and the minus continued
+fraction convergents all read off one Lucas sequence U_r(-beta),
+computed in integers by doubling, and refused (DomainError) when the
+result would pass MAX_LUCAS_BITS bits.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -36,6 +42,7 @@ from .exact import (
     SingularPoint,
     Slope,
     Surface,
+    _ratio,
     common_denominator,
     format_point,
     format_rational,
@@ -191,11 +198,31 @@ _TRANSFORMS = {
 }
 
 
+# The terms of the Lucas sequence grow by about max(bits(p), bits(q)) bits per
+# index at tau = p/q.  Printing a result in decimal takes time quadratic in its
+# length: at this many bits the largest accepted r takes a second or two from
+# argv to stdout, and each doubling of the limit would about quadruple that.
+MAX_LUCAS_BITS = 1 << 19
+
+
 def _lucas(tau: Fraction, n: int) -> tuple[int, int]:
     """(V_n, V_{n+1}) with V_n = q^(n-1)*U_n for tau = p/q, where U_0 = 0,
     U_1 = 1 and U_{n+2} = tau*U_{n+1} - U_n: one doubling per bit of n,
-    V_2n = V_n*(2*V_{n+1} - p*V_n) and V_{2n+1} = V_{n+1}^2 - q^2*V_n^2."""
-    p, qq = tau.numerator, tau.denominator**2
+    V_2n = V_n*(2*V_{n+1} - p*V_n) and V_{2n+1} = V_{n+1}^2 - q^2*V_n^2.
+
+    DomainError, before any doubling, when n*max(bits(p), bits(q)), about
+    the bit length of V_{n+1}, exceeds MAX_LUCAS_BITS.  An integer tau
+    with |tau| <= 2 is never refused: there U_n is periodic or +-n, of
+    about bits(n) bits.
+    """
+    p, q = tau.numerator, tau.denominator
+    bits = n * max(abs(p).bit_length(), q.bit_length())
+    if bits > MAX_LUCAS_BITS and (q > 1 or abs(p) > 2):
+        raise DomainError(
+            f"U_{format_rational(n)} at tau = {format_rational(tau)} has about"
+            f" {format_rational(bits)} bits, past the limit of {MAX_LUCAS_BITS} bits"
+        )
+    qq = q * q
     v, w = 0, 1
     for bit in bin(n)[2:]:
         v, w = v * (2 * w - p * v), w * w - qq * (v * v)
@@ -223,7 +250,8 @@ def ta_power(frame: SectionFrame, p: SectionPoint, r: int, family: str = "TA") -
     TA is P -> c + M*(P - c) about the centre (c, c), c = -gamma/(2 + beta),
     with M = [[tau, -1], [1, 0]] for tau = -beta = p/q, and q^r*M^r =
     [[V_{r+1}, -q*V_r], [q*V_r, V_{r+1} - p*V_r]].  A parabola (beta = -2,
-    gamma != 0) has no centre: DomainError.
+    gamma != 0) has no centre: DomainError, and so is an r with
+    r*max(bits(p), bits(q)) past MAX_LUCAS_BITS (see ``_lucas``).
     """
     if r < 0:
         raise IndexZero("powers are defined for r >= 0")
@@ -248,8 +276,12 @@ def ta_power(frame: SectionFrame, p: SectionPoint, r: int, family: str = "TA") -
 def chebyshev_b(r: int, n0: Rat) -> Fraction:
     """b_r(n0) with b_0 = 1, b_1 = 3*n0, b_{r+2} = 3*n0*b_{r+1} - b_r.
 
-    That is U_{r+1} at tau = 3*n0.  Indices -1 and -2 (values 0 and -1)
-    are admitted: they are forced by running the recurrence backwards.
+    That is U_{r+1} at tau = 3*n0 = p/q.  Indices -1 and -2 (values 0
+    and -1) are admitted: they are forced by running the recurrence
+    backwards.  DomainError when (r + 1)*max(bits(p), bits(q)), about the
+    bit length of the result, passes MAX_LUCAS_BITS (see ``_lucas``): at
+    n0 = 3, four bits per index, the largest r accepted is
+    MAX_LUCAS_BITS/4 - 1.
     """
     if r < -2:
         raise IndexZero(f"index {format_rational(r)} below the supported range")
@@ -263,7 +295,8 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
     """r-th convergent U_{r+1}/U_r at tau = -beta (b_r/b_{r-1} on the Fricke
     surface) of the minus continued fraction ceil(tau : tau : ...), which
     converges to the point at infinity of larger modulus.  An ellipse has
-    none: DomainError."""
+    none: DomainError, and so is an r with r*max(bits(p), bits(q)) past
+    MAX_LUCAS_BITS for tau = p/q (see ``_lucas``)."""
     if r < 1:
         raise IndexZero("convergents are indexed from 1")
     tau = -_hyperbola_beta(frame)
@@ -274,11 +307,20 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
 # -- the group law -------------------------------------------------------------
 
 
+def _four_over_one(a: Rat, b: Rat, c: Rat, e: Rat) -> tuple[int, int, int, int, int]:
+    """(A, B, C, E, d): four values written as (A, B, C, E)/d, d the lcm of
+    their denominators, as ``common_denominator`` gives them but in
+    fixed-arity code."""
+    (A, da), (B, db), (C, dc), (E, de) = _ratio(a), _ratio(b), _ratio(c), _ratio(e)
+    d = math.lcm(da, db, dc, de)
+    return A * (d // da), B * (d // db), C * (d // dc), E * (d // de), d
+
+
 def _in_integers(frame: SectionFrame, x: Rat, z: Rat):
     """(X, Z, d, B, gx, gz): the point (x, z) = (X, Z)/d and beta = B/d over one
     common denominator d with the conic's gamma, and the integer gradient
     (gx, gz) = d^2*(C_x, C_z) of the section conic at (x, z)."""
-    (b, g, x, z), d = common_denominator((*frame.conic, x, z))
+    b, g, x, z, d = _four_over_one(*frame.conic, x, z)
     return x, z, d, b, 2 * d * x + b * z + d * g, 2 * d * z + b * x + d * g
 
 
@@ -323,7 +365,7 @@ def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> Sect
     _on_frame(frame, p1, p2)
     if p1.xy == p2.xy:
         return quadric_double(frame, p1)
-    (x1, z1, x2, z2), _d = common_denominator((p1.x, p1.z, p2.x, p2.z))
+    x1, z1, x2, z2, _d = _four_over_one(p1.x, p1.z, p2.x, p2.z)
     return _second_point(frame, frame.m0, frame.k0, x2 - x1, z2 - z1)
 
 

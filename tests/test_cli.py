@@ -8,7 +8,7 @@ import pytest
 from frickelab import canonical, generate, negative_tree
 from frickelab.cli import HANDLERS, build_parser, run
 from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, format_rational, parse_rational
-from frickelab.sections import chebyshev_b
+from frickelab.sections import MAX_LUCAS_BITS, chebyshev_b
 from frickelab.fricke import Finite, Infinite, Undefined
 
 from conftest import markov_pair
@@ -379,6 +379,37 @@ class TestAnySize:
         payload = invoke_json(capsys, "chebyshev", "--r", "5000", "--n0", "3")
         assert len(payload["result"]) == 4744
         assert parse_rational(payload["result"]) == chebyshev_b(5000, 3)
+
+    def test_result_past_the_bit_limit_exits_1_at_once(self):
+        # r = 10^20 at tau = 9: about 4*10^20 bits, refused before any arithmetic
+        proc = subprocess.run(
+            [sys.executable, "-m", "frickelab.cli", "chebyshev", "--r", "1" + "0" * 20, "--n0", "3"],
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert proc.returncode == 1 and proc.stdout == ""
+        assert proc.stderr.startswith("error:") and f"past the limit of {MAX_LUCAS_BITS} bits" in proc.stderr
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["chebyshev", "--r", "131072", "--n0", "3"],
+            ["chebyshev", "--r", HUGE, "--n0", "1/6"],
+            ["ta-power", "--frame", "1,5,2", "--r", "131073", "1,2"],
+            ["convergent", "--frame", "1,5,2", "--r", "131073"],
+            ["convergent", "--frame", "1,5,2", "--r", HUGE],
+        ],
+    )
+    def test_results_past_the_bit_limit_are_refused(self, capsys, argv):
+        code, out, err = invoke(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error:") and f"past the limit of {MAX_LUCAS_BITS} bits" in err
+
+    def test_short_results_are_not_refused(self, capsys):
+        # tau = 0 and tau = 2: U_r is periodic or r, whatever the size of r
+        assert invoke_json(capsys, "chebyshev", "--r", "600000", "--n0", "0")["result"] == "1"
+        assert invoke_json(capsys, "chebyshev", "--r", "1" + "0" * 20, "--n0", "2/3")["result"] == "1" + "0" * 19 + "1"
 
     def test_huge_input_is_read(self, capsys):
         payload = invoke_json(capsys, "phi", f"[{HUGE}:1:1]")

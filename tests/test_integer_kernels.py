@@ -3,8 +3,12 @@ denominator per point: ``compose`` against the line-cubic oracle,
 ``surface_defect`` against the surface polynomial in plain Fractions,
 ``Surface.contains`` against a zero defect, the oracle, ``line_point`` and
 the affine charts against Fraction transcriptions of their definitions
-written out here, and the section chord and ``tangent_slope`` against
-their slope forms and under scaling of the integer direction."""
+written out here, the section chord and ``tangent_slope`` against
+their slope forms and under scaling of the integer direction, and the
+fixed-arity conversions of the membership test, ``compose`` and the chord
+against the variable-arity common denominator written out here."""
+import decimal
+import math
 import random
 from dataclasses import replace
 from fractions import Fraction
@@ -45,9 +49,17 @@ from frickelab.exact import (
     OriginOperand,
     SingularPoint,
     ZeroArgument,
+    _over_one_denominator,
     common_denominator,
 )
-from frickelab.sections import DenominatorVanishes, _gradient, _second_point, tangent_slope
+from frickelab import sections
+from frickelab.sections import (
+    DenominatorVanishes,
+    _gradient,
+    _in_integers,
+    _second_point,
+    tangent_slope,
+)
 from frickelab.tree import canonical, generate
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
@@ -639,3 +651,141 @@ def test_tangent_slope_matches_slope_form(name):
         got = outcome(tangent_slope, frame, p)
         assert got == outcome(slope_of_tangent, frame, p.x, p.z)
         assert got in (AT_INFINITY, SingularPoint) or type(got) is Fraction
+
+
+# -- fixed-arity conversions against the generic common denominator ------------
+
+
+def generic_common_denominator(values):
+    """The values as integers over the lcm of their denominators, for any
+    number of values: what the fixed-arity conversions must agree with."""
+    ratios = [Fraction(v).as_integer_ratio() for v in values]
+    d = math.lcm(*[den for _num, den in ratios])
+    return [num * (d // den) for num, den in ratios], d
+
+
+def generic_residual(surface, p):
+    (X, Y, Z), d = generic_common_denominator(p)
+    return surface.quad(X, Y, Z) * d - surface.kappa * X * Y * Z, d
+
+
+small = st.integers(-10**6, 10**6)
+COORDINATES = {
+    "int": small,
+    "bool": st.booleans(),
+    "fraction": st.builds(Fraction, small, st.integers(1, 10**6)),
+    "decimal": st.decimals(-10**6, 10**6, places=3),
+}
+# one denominator shared by all three coordinates, as on chart points over
+# their common denominator and on every integral triple
+shared_denominator = st.integers(1, 10**6).flatmap(
+    lambda d: st.lists(small.filter(lambda n: math.gcd(n, d) == 1), min_size=3, max_size=3).map(
+        lambda ns: [Fraction(n, d) for n in ns]
+    )
+)
+triples = st.one_of(
+    *(st.lists(kind, min_size=3, max_size=3) for kind in COORDINATES.values()),
+    st.lists(st.one_of(*COORDINATES.values()), min_size=3, max_size=3),
+    shared_denominator,
+)
+
+
+@KERNEL_SETTINGS
+@given(surfaces, st.sampled_from(SIGMAS), triples)
+def test_residual_matches_generic_denominator(base, sigma, triple):
+    surface = replace(base, sigma=Fraction(sigma))
+    ints, d = generic_common_denominator(triple)
+    converted = _over_one_denominator(triple)
+    assert converted == (*ints, d)
+    assert all(isinstance(v, int) for v in converted)
+    assert surface._residual(triple) == generic_residual(surface, triple)
+    assert surface._residual(tuple(triple)) == generic_residual(surface, triple)
+    # membership and the defect read that residual
+    assert surface.contains(triple) == (plain_defect(surface.name, triple, sigma) == 0)
+    assert surface.defect(triple) == plain_defect(surface.name, triple, sigma)
+
+
+@pytest.mark.parametrize("surface", [FRICKE, DOUBLE, replace(FRICKE, sigma=Fraction(-4))])
+@pytest.mark.parametrize(
+    "p", [(), (1,), (1, 1), (Fraction(1, 2), Fraction(1, 3)), (1, 1, 1, 1), (Fraction(1, 2), 1, 2, 5)]
+)
+def test_contains_rejects_other_arities(surface, p):
+    # a point has three coordinates; any other length is the plain
+    # ValueError of unpacking the variable-arity conversion into three names,
+    # message and all ("not enough values to unpack (expected 3, got 2)")
+    with pytest.raises(ValueError) as generic:
+        (X, Y, Z), d = generic_common_denominator(p)
+    for method in (surface.contains, surface.defect, surface._residual):
+        with pytest.raises(ValueError) as exc:
+            method(p)
+        assert type(exc.value) is ValueError
+        assert str(exc.value) == str(generic.value)
+
+
+@KERNEL_SETTINGS
+@given(st.lists(st.one_of(*COORDINATES.values()), min_size=4, max_size=4))
+def test_four_values_match_generic_denominator(values):
+    ints, d = generic_common_denominator(values)
+    converted = sections._four_over_one(*values)
+    assert converted == (*ints, d)
+    assert all(isinstance(v, int) for v in converted)
+
+
+def generic_in_integers(frame, x, z):
+    (b, g, x, z), d = generic_common_denominator((*frame.conic, x, z))
+    return x, z, d, b, 2 * d * x + b * z + d * g, 2 * d * z + b * x + d * g
+
+
+@pytest.mark.parametrize("name", [*SECTION_FRAMES, *LINE_PAIRS])
+def test_chord_conversions_match_generic_denominator(name, monkeypatch):
+    frame, pool = section_pool(name, random.Random(name))
+    for p in pool:
+        assert _in_integers(frame, p.x, p.z) == generic_in_integers(frame, p.x, p.z)
+    # the direction quadric_add hands to the chord kernel is B - A over the
+    # two points' common denominator
+    directions = []
+    kernel = sections._second_point
+
+    def recording(frame, x0, z0, u, w):
+        directions.append((u, w))
+        return kernel(frame, x0, z0, u, w)
+
+    monkeypatch.setattr(sections, "_second_point", recording)
+    checked = 0
+    for p in pool:
+        for q in pool[:10]:
+            if p.xy == q.xy:
+                continue
+            del directions[:]
+            outcome(sections.quadric_add, frame, p, q)
+            (x1, z1, x2, z2), _d = generic_common_denominator((p.x, p.z, q.x, q.z))
+            assert directions == [(x2 - x1, z2 - z1)]
+            checked += 1
+    assert checked > 100
+
+
+def fraction_compose(surface, p, q):
+    """The finite secant composition in Fractions, from its closed form."""
+    (a, b, c), (m, n, k) = p, q
+    w = 2 * (surface.bilinear(p, q) - surface.sigma)
+    kappa = surface.kappa
+    return (
+        (kappa * (a * n * k + b * c * m) - w) / (kappa * (b - n) * (c - k)),
+        (kappa * (b * m * k + a * c * n) - w) / (kappa * (a - m) * (c - k)),
+        (kappa * (c * m * n + a * b * k) - w) / (kappa * (a - m) * (b - n)),
+    )
+
+
+@KERNEL_SETTINGS
+@given(surfaces, shared_denominator, st.sampled_from(PERMUTATIONS[1:3]))
+def test_compose_on_operands_sharing_one_denominator(base, triple, cycle):
+    # a triple over one denominator and its cyclic shift lie on the same
+    # sigma-surface and share that denominator in every coordinate
+    assume(len(set(triple)) == 3)
+    surface = replace(base, sigma=base.defect(triple))
+    p = SurfacePoint(*triple, surface)
+    q = SurfacePoint(*(triple[i] for i in cycle), surface)
+    assert len({v.denominator for v in (*p.coords, *q.coords)}) == 1
+    result = assert_matches_oracle(p, q)
+    assert isinstance(result, Finite)
+    assert result.point.coords == fraction_compose(surface, p.coords, q.coords)

@@ -27,7 +27,13 @@ from frickelab import (
 from frickelab.cli import run
 from frickelab.fricke import FrickeSurface
 from frickelab.exact import SingularPoint, common_denominator
-from frickelab.sections import DenominatorVanishes, IndexZero, OffSection, tangent_slope
+from frickelab.sections import (
+    MAX_LUCAS_BITS,
+    DenominatorVanishes,
+    IndexZero,
+    OffSection,
+    tangent_slope,
+)
 
 FRAMES = [(1, 1, 1), (1, 1, 2), (1, 2, 5), (2, 5, 29)]
 RATIONAL_FRAME = (Fraction(15, 4), Fraction(-3, 4), Fraction(-6))  # n0 = -3/4: q = 4
@@ -200,6 +206,42 @@ class TestChebyshev:
                 b = chebyshev_b(r, n0)
                 assert b == prev and type(b) is Fraction
                 prev, cur = cur, 3 * n0 * cur - prev
+
+    def test_bit_limit(self):
+        assert MAX_LUCAS_BITS == 2**19
+        # tau = 9: four bits per index, so r + 1 = MAX_LUCAS_BITS/4 is the
+        # last index accepted
+        last = MAX_LUCAS_BITS // 4 - 1
+        big = chebyshev_b(last, 3)
+        assert big.denominator == 1 and last < big.numerator.bit_length() <= MAX_LUCAS_BITS
+        for r in (last + 1, 10**20):
+            with pytest.raises(DomainError, match=f"past the limit of {MAX_LUCAS_BITS} bits"):
+                chebyshev_b(r, 3)
+        # tau = 3 grows from the first integer past 2 on, and tau = 1/2 is
+        # below 2 but not an integer: V_n = 2^(n-1)*U_n grows
+        for n0 in (1, Fraction(1, 6)):
+            with pytest.raises(DomainError):
+                chebyshev_b(MAX_LUCAS_BITS, n0)
+
+    @pytest.mark.parametrize("n0", [0, Fraction(1, 3), Fraction(-1, 3), Fraction(2, 3), Fraction(-2, 3)])
+    def test_no_bit_limit_where_the_terms_stay_short(self, n0):
+        # an integer tau = 3*n0 with |tau| <= 2: U_n is periodic or +-n, so
+        # the bound r*bits(tau) overstates the result and is not applied
+        for r in (MAX_LUCAS_BITS, 10**20 + 3):
+            got = chebyshev_b(r, n0)
+            assert got.denominator == 1 and got.numerator.bit_length() <= r.bit_length() + 1
+            if abs(3 * n0) < 2:
+                assert got == chebyshev_b(r % 12, n0)
+            else:
+                assert abs(got) == r + 1
+
+    def test_bit_limit_on_powers_and_convergents(self):
+        fr = frame((1, 5, 2))  # tau = 15: four bits per index
+        for r in (2**17 + 1, 10**20):
+            with pytest.raises(DomainError, match="past the limit"):
+                cf_convergent(fr, r)
+            with pytest.raises(DomainError, match="past the limit"):
+                ta_power(fr, fr.origin, r)
 
     def test_matrix_power_identity(self):
         for n0 in (1, 2, 5):
