@@ -429,26 +429,29 @@ class Surface:
             return self.kappa * u * v - 2 * (u + v) - w
         return self.kappa * u * v - w
 
-    def _residual(self, p: Sequence[Rat]) -> tuple[int, int]:
-        """(r, d) with Q(p) - kappa*xyz = r/d^3: for p = (X, Y, Z)/d over one
-        common denominator, r = Q(X, Y, Z)*d - kappa*XYZ."""
-        X, Y, Z, d = _over_one_denominator(p)
-        return self.quad(X, Y, Z) * d - self.kappa * X * Y * Z, d
+    def _residual(self, form: tuple[int, int, int, int]) -> int:
+        """s_d*d^3*(Q(p) - kappa*xyz - sigma) in integers, zero exactly on
+        the surface, for the point p = (X, Y, Z)/d of the integer form
+        (X, Y, Z, d) and sigma = s_n/s_d: Q(X, Y, Z)*d - kappa*XYZ, times
+        s_d less s_n*d^3 when sigma != 0."""
+        X, Y, Z, d = form
+        r = self.quad(X, Y, Z) * d - self.kappa * X * Y * Z
+        if not self.sigma:
+            return r
+        s_n, s_d = self.sigma.as_integer_ratio()
+        return r * s_d - s_n * d * d * d
 
     def contains(self, p: Sequence[Rat]) -> bool:
-        """Whether p lies on the surface, decided in integers: with
-        sigma = s_n/s_d, whether r*s_d == s_n*d^3 for the residual r/d^3."""
-        r, d = self._residual(p)
-        if not self.sigma:
-            return r == 0
-        s_n, s_d = self.sigma.as_integer_ratio()
-        return r * s_d == s_n * d * d * d
+        """Whether p lies on the surface, decided in integers on p's form
+        over one common denominator; a point keeps that form and is
+        validated on it by the same residual."""
+        return not self._residual(_over_one_denominator(p))
 
     def defect(self, p: Sequence[Rat]) -> Fraction:
         """Q(p) - kappa*xyz - sigma as a Fraction, from the same residual."""
-        r, d = self._residual(p)
-        defect = Fraction(r, d * d * d)
-        return defect - self.sigma if self.sigma else defect
+        form = _over_one_denominator(p)
+        d = form[3]
+        return Fraction(self._residual(form), self.sigma.denominator * d * d * d)
 
 
 class _ByName(dict):

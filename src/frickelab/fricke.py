@@ -9,7 +9,7 @@ surface (x + y + z)^2 = 9xyz.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
 
@@ -43,12 +43,18 @@ def FrickeSurface(sigma: Rat = 0) -> Surface:
 
 @dataclass(frozen=True, slots=True)
 class SurfacePoint:
-    """An affine point validated to lie on its surface exactly."""
+    """An affine point validated to lie on its surface exactly.
+
+    ``form`` is (X, Y, Z, d): the coordinates written as (X, Y, Z)/d over
+    the lcm d of their denominators, the canonical integer form that the
+    validation computes and ``compose`` reads.
+    """
 
     x: Fraction
     y: Fraction
     z: Fraction
     surface: Surface
+    form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.x) is not Fraction:
@@ -57,8 +63,10 @@ class SurfacePoint:
             object.__setattr__(self, "y", Fraction(self.y))
         if type(self.z) is not Fraction:
             object.__setattr__(self, "z", Fraction(self.z))
-        if not self.surface.contains(self.coords):
+        form = _over_one_denominator((self.x, self.y, self.z))
+        if self.surface._residual(form):
             raise OffSurface(f"{format_point(self.coords)} is not on the surface")
+        object.__setattr__(self, "form", form)
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -183,34 +191,64 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     the bilinear form of Q, x = (kappa*(ank + bcm) - 2*(B(p, q) - sigma))
     / (kappa*(b - n)*(c - k)), and y, z follow by symmetry.
 
-    The law is computed in integers: p = (A, B, C)/d1, q = (M, N, K)/d2
-    and sigma = sn/sd, with numerator and denominator of x multiplied by
-    sd*d1^2*d2^2, so each coordinate is one Fraction of two integers.
+    The law is computed in integers on the operands' forms p = (a, b, c)/d1
+    and q = (m, n, k)/d2, with sigma = s_n/s_d: numerator and denominator
+    of x multiplied by s_d*d1^2*d2^2 give N_x/(kappa*s_d*db*dc), where
+    db = b*d2 - n*d1 is the difference of the y coordinates times d1*d2.
+    With y_p = u/e and y_q = v/f in lowest terms, db = c_y*l_y for
+    l_y = u*f - v*e and the cofactor c_y = (d1/e)*(d2/f), and likewise
+    for z, so x = (N_x/(c_y*c_z)) / (kappa*s_d*l_y*l_z): the known
+    cofactor is divided out before the one gcd that builds the Fraction
+    (Henrici's rule; Knuth, TAOCP Vol. 2, 4.5.1).
+
+    The division is exact.  Let x' = kappa*yz - 2*cross*(y + z) - x be the
+    Vieta partner of x and B_yz the form B restricted to (y, z); the
+    closed form's numerator is then x_p*x_q' + x_p'*x_q - 2*B_yz(p, q)
+    + 2*sigma.  On a point of the surface take T = den(y)*den(z).  T*x
+    and T*x' are the roots of s_d*u^2 - s_d*A*u + C with A = T*(x + x')
+    and C = s_d*T^2*x*x' = s_d*T^2*(Q(0, y, z) - sigma) integers.  Their
+    sum A is an integer, so they share one denominator t in lowest terms,
+    and their product C/s_d then has denominator exactly t^2, so t^2
+    divides s_d.  As t_p^2 and t_q^2 both divide s_d, so does t_p*t_q,
+    and s_d*T_p*T_q*x_p*x_q' and s_d*T_p*T_q*x_p'*x_q are integers; so
+    are s_d*T_p*T_q*B_yz(p, q) and s_d*T_p*T_q*sigma.
+    Since kappa*(y_p - y_q)*(z_p - z_q) = kappa*l_y*l_z/(T_p*T_q), the
+    result's kappa*s_d*l_y*l_z*x is s_d*T_p*T_q times the numerator, an
+    integer, and it equals N_x/(c_y*c_z).  The tests compare the result
+    with the line-cubic oracle and with the closed form in Fractions on
+    sigma-shifted pairs reached by chains of Vieta moves, zero
+    coordinates included.
     """
     if p.surface != q.surface:
         raise ValueError("operands live on different surfaces")
-    if p.coords == q.coords:
+    if p.form == q.form:
         return Undefined(UNDEFINED_COINCIDENT)
-    if p.is_origin or q.is_origin:
+    a, b, c, d1 = p.form
+    m, n, k, d2 = q.form
+    if not (a or b or c) or not (m or n or k):
         return Undefined(UNDEFINED_ORIGIN)
     s = p.surface
-    a, b, c, d1 = _over_one_denominator(p.coords)
-    m, n, k, d2 = _over_one_denominator(q.coords)
-    # (p - q)*d1*d2: zero exactly where the coordinate differences are
-    da, db, dc = a * d2 - m * d1, b * d2 - n * d1, c * d2 - k * d1
-    if da and db and dc:
+    # each coordinate of p and q over its own denominator: l_i is their
+    # difference times both denominators, zero exactly where the
+    # coordinates agree
+    (u1, e1), (u2, e2), (u3, e3) = map(Fraction.as_integer_ratio, (p.x, p.y, p.z))
+    (v1, f1), (v2, f2), (v3, f3) = map(Fraction.as_integer_ratio, (q.x, q.y, q.z))
+    l1, l2, l3 = u1 * f1 - v1 * e1, u2 * f2 - v2 * e2, u3 * f3 - v3 * e3
+    if l1 and l2 and l3:
+        # the cofactors c_i, with d1*d2*(p_i - q_i) = c_i*l_i
+        c1, c2, c3 = (d1 // e1) * (d2 // f1), (d1 // e2) * (d2 // f2), (d1 // e3) * (d2 // f3)
         sn, sd = s.sigma.numerator, s.sigma.denominator
         d12 = d1 * d2
         ks = s.kappa * sd
         w = 2 * d12 * (sd * s.bilinear((a, b, c), (m, n, k)) - sn * d12)
-        x = Fraction(ks * (a * n * k * d1 + b * c * m * d2) - w, ks * db * dc)
-        y = Fraction(ks * (b * m * k * d1 + a * c * n * d2) - w, ks * da * dc)
-        z = Fraction(ks * (c * m * n * d1 + a * b * k * d2) - w, ks * da * db)
+        x = Fraction((ks * (a * n * k * d1 + b * c * m * d2) - w) // (c2 * c3), ks * l2 * l3)
+        y = Fraction((ks * (b * m * k * d1 + a * c * n * d2) - w) // (c1 * c3), ks * l1 * l3)
+        z = Fraction((ks * (c * m * n * d1 + a * b * k * d2) - w) // (c1 * c2), ks * l1 * l2)
         return Finite(type(p)(x, y, z, s))
     # the line meets the surface again at infinity: when a = m the third
     # point is [0 : b-n : c-k : 0], and the other vanishing patterns follow
     # by the symmetry of the equation
-    return Infinite(normalize_projective([da, db, dc, 0]))
+    return Infinite(normalize_projective([a * d2 - m * d1, b * d2 - n * d1, c * d2 - k * d1, 0]))
 
 
 def compose_alternative(p: FrickePoint, q: FrickePoint) -> FrickePoint:

@@ -6,15 +6,20 @@ the affine charts against Fraction transcriptions of their definitions
 written out here, the section chord and ``tangent_slope`` against
 their slope forms and under scaling of the integer direction, and the
 fixed-arity conversions of the membership test, ``compose`` and the chord
-against the variable-arity common denominator written out here."""
+against the variable-arity common denominator written out here; ``compose``
+also against its closed form in Fractions, and the integer form each point
+keeps against that conversion."""
+import copy
+import dataclasses
 import decimal
 import math
+import pickle
 import random
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from frickelab import (
@@ -27,9 +32,11 @@ from frickelab import (
     FrickePoint,
     Infinite,
     LineParameter,
+    ProjectivePoint,
     SectionFrame,
     SectionPoint,
     SurfacePoint,
+    Undefined,
     compose,
     f2_param_affine,
     line_point,
@@ -96,21 +103,57 @@ def test_compose_matches_oracle_on_tall_charts(surface, P1, Q1, P2, Q2):
     assert_matches_oracle(a, b)
 
 
+def assert_matches_closed_form(a: SurfacePoint, b: SurfacePoint):
+    """``compose`` against the oracle and, when finite, against its closed
+    form in Fractions."""
+    result = assert_matches_oracle(a, b)
+    if isinstance(result, Finite):
+        assert result.point.coords == fraction_compose(a.surface, a.coords, b.coords)
+    return result
+
+
+def vieta_chain(p: SurfacePoint, moves) -> SurfacePoint:
+    """p after each (generator, order) of moves: a Vieta move, then a
+    permutation of the coordinates; stops early once a coordinate passes
+    2^1024."""
+    for generator, order in moves:
+        moved = viete(p, generator).coords
+        if any(max(abs(v.numerator), v.denominator) > 2**1024 for v in moved):
+            break
+        p = SurfacePoint(*(moved[i] for i in order), p.surface)
+    return p
+
+
 @KERNEL_SETTINGS
-@given(surfaces, st.lists(rationals, min_size=3, max_size=3, unique=True))
-def test_compose_on_sigma_surfaces(base, triple):
-    # a point fixes sigma, almost always non-integral; its permutations lie
-    # on the same sigma-surface, and so do their compositions, whose
-    # denominators differ from the operands'
+@given(
+    surfaces,
+    st.lists(rationals, min_size=3, max_size=3, unique=True),
+    st.sampled_from([None, 0, 1, 2]),
+    st.lists(st.tuples(st.sampled_from("LR"), st.permutations(range(3))), max_size=4),
+)
+@example(FRICKE, [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)], 1, [("L", [2, 0, 1])])
+@example(DOUBLE, [Fraction(1, 2), Fraction(2, 3), Fraction(5, 7)], 0, [("R", [1, 2, 0])])
+def test_compose_on_sigma_surfaces(base, triple, zero, moves):
+    # a point fixes sigma, almost always non-integral; its permutations and
+    # its images under chains of Vieta moves and permutations lie on the same
+    # sigma-surface, and so do their compositions, whose denominators
+    # differ from the operands'; a zero coordinate has denominator 1
+    if zero is not None:
+        triple[zero] = Fraction(0)
+        assume(len(set(triple)) == 3)
     x, y, z = triple
     sigma = surface_defect(base.name, triple)
     assume(sigma.denominator != 1)
     surf = replace(base, sigma=sigma)
     p = SurfacePoint(x, y, z, surf)
-    r = assert_matches_oracle(p, SurfacePoint(z, x, y, surf))
+    r = assert_matches_closed_form(p, SurfacePoint(z, x, y, surf))
     if isinstance(r, Finite):
-        assert_matches_oracle(r.point, SurfacePoint(y, z, x, surf))
-        assert_matches_oracle(SurfacePoint(y, x, z, surf), r.point)
+        assert_matches_closed_form(r.point, SurfacePoint(y, z, x, surf))
+        assert_matches_closed_form(SurfacePoint(y, x, z, surf), r.point)
+    q = vieta_chain(p, moves)
+    for a, b in ((p, q), (q, SurfacePoint(y, z, x, surf))):
+        if a != b:
+            assert_matches_closed_form(a, b)
 
 
 def plain_defect(name: str, p, sigma) -> Fraction:
@@ -665,8 +708,11 @@ def generic_common_denominator(values):
 
 
 def generic_residual(surface, p):
+    """s_d*d^3*(Q(p) - kappa*xyz - sigma) for sigma = s_n/s_d, from the
+    generic conversion."""
     (X, Y, Z), d = generic_common_denominator(p)
-    return surface.quad(X, Y, Z) * d - surface.kappa * X * Y * Z, d
+    s_n, s_d = surface.sigma.as_integer_ratio()
+    return (surface.quad(X, Y, Z) * d - surface.kappa * X * Y * Z) * s_d - s_n * d**3
 
 
 small = st.integers(-10**6, 10**6)
@@ -698,8 +744,8 @@ def test_residual_matches_generic_denominator(base, sigma, triple):
     converted = _over_one_denominator(triple)
     assert converted == (*ints, d)
     assert all(isinstance(v, int) for v in converted)
-    assert surface._residual(triple) == generic_residual(surface, triple)
-    assert surface._residual(tuple(triple)) == generic_residual(surface, triple)
+    assert surface._residual(converted) == generic_residual(surface, triple)
+    assert _over_one_denominator(tuple(triple)) == converted
     # membership and the defect read that residual
     assert surface.contains(triple) == (plain_defect(surface.name, triple, sigma) == 0)
     assert surface.defect(triple) == plain_defect(surface.name, triple, sigma)
@@ -715,7 +761,7 @@ def test_contains_rejects_other_arities(surface, p):
     # message and all ("not enough values to unpack (expected 3, got 2)")
     with pytest.raises(ValueError) as generic:
         (X, Y, Z), d = generic_common_denominator(p)
-    for method in (surface.contains, surface.defect, surface._residual):
+    for method in (surface.contains, surface.defect, _over_one_denominator):
         with pytest.raises(ValueError) as exc:
             method(p)
         assert type(exc.value) is ValueError
@@ -789,3 +835,100 @@ def test_compose_on_operands_sharing_one_denominator(base, triple, cycle):
     result = assert_matches_oracle(p, q)
     assert isinstance(result, Finite)
     assert result.point.coords == fraction_compose(surface, p.coords, q.coords)
+
+
+# -- the integer form a point keeps --------------------------------------------
+
+SIGMA_SHIFTED = replace(FRICKE, sigma=Fraction(25, 36))
+FORM_POINTS = {
+    "fricke": FrickePoint(1, 1, 1),
+    "fricke-chart": param_affine(Fraction(2, 3), Fraction(-5, 7)),
+    "double": F2Point(1, 4, 25),
+    "double-chart": f2_param_affine(Fraction(3, 4), Fraction(7, 2)),
+    "sigma-shifted": SurfacePoint(-1, Fraction(1, 2), Fraction(-2, 3), SIGMA_SHIFTED),
+    "sigma-shifted-zero": SurfacePoint(0, Fraction(1, 2), Fraction(2, 3), SIGMA_SHIFTED),
+}
+
+
+def assert_form_is_canonical(p: SurfacePoint):
+    ints, d = generic_common_denominator(p.coords)
+    assert p.form == _over_one_denominator(p.coords) == (*ints, d)
+    assert all(type(v) is int for v in p.form)
+
+
+@pytest.mark.parametrize("name", FORM_POINTS)
+def test_stored_form_is_the_points_integer_form(name):
+    p = FORM_POINTS[name]
+    assert_form_is_canonical(p)
+    # a copy keeps the form; replace validates anew and recomputes it
+    for other in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+        assert type(other) is type(p) and other == p
+        assert other.form == p.form
+    assert replace(p).form == p.form
+    swapped = replace(p, x=p.y, y=p.x)
+    assert_form_is_canonical(swapped)
+    assert swapped.form == (p.form[1], p.form[0], *p.form[2:])
+    with pytest.raises(ValueError):
+        replace(p, form=(0, 0, 0, 1))
+
+
+@KERNEL_SETTINGS
+@given(surfaces, chart_parameters, chart_parameters, shifts)
+def test_stored_form_on_tall_and_shifted_points(base, P, Q, shift):
+    p = CHARTS[base.name](P, Q)
+    assert_form_is_canonical(p)
+    # the chart point moved in x lies on the surface shifted by its defect
+    coords = (p.x + shift, p.y, p.z)
+    shifted = SurfacePoint(*coords, replace(base, sigma=base.defect(coords)))
+    assert_form_is_canonical(shifted)
+    assert_form_is_canonical(viete(shifted, "L"))
+
+
+def test_form_leaves_eq_hash_and_repr():
+    one = FrickePoint(1, 1, 1)
+    spelled = FrickePoint(Fraction(2, 2), 1, 1)
+    assert one == spelled and hash(one) == hash(spelled)
+    # the dataclass hash and repr of the four compared fields, as before the
+    # form was stored
+    assert [f.name for f in dataclasses.fields(one) if f.compare] == ["x", "y", "z", "surface"]
+    for p in (one, *FORM_POINTS.values()):
+        assert hash(p) == hash((p.x, p.y, p.z, p.surface))
+    surface = "surface=Surface(name='fricke', kappa=3, cross=0, sigma=Fraction(0, 1))"
+    ones = "x=Fraction(1, 1), y=Fraction(1, 1), z=Fraction(1, 1)"
+    assert repr(one) == repr(spelled) == f"FrickePoint({ones}, {surface})"
+    assert repr(F2Point(1, 4, 25)) == (
+        "F2Point(x=Fraction(1, 1), y=Fraction(4, 1), z=Fraction(25, 1), "
+        "surface=Surface(name='double', kappa=9, cross=1, sigma=Fraction(0, 1)))"
+    )
+    assert repr(SurfacePoint(1, 2, 3, replace(FRICKE, sigma=Fraction(-4)))) == (
+        "SurfacePoint(x=Fraction(1, 1), y=Fraction(2, 1), z=Fraction(3, 1), "
+        "surface=Surface(name='fricke', kappa=3, cross=0, sigma=Fraction(-4, 1)))"
+    )
+
+
+@pytest.mark.parametrize(
+    "p, q",
+    [
+        (FrickePoint(1, 1, 1), FrickePoint(Fraction(2, 2), 1, 1)),
+        (FrickePoint(1, 1, 1), FrickePoint(True, decimal.Decimal("1.000"), Fraction(3, 3))),
+        (F2Point(1, 4, 25), F2Point(Fraction(4, 4), decimal.Decimal("4.0"), 25)),
+        (
+            SurfacePoint(-1, Fraction(1, 2), Fraction(-2, 3), SIGMA_SHIFTED),
+            SurfacePoint(Fraction(-3, 3), decimal.Decimal("0.5"), Fraction(-4, 6), SIGMA_SHIFTED),
+        ),
+    ],
+)
+def test_equal_points_spelled_apart_are_coincident(p, q):
+    assert p.form == q.form
+    assert compose(p, q) == Undefined("coincident-points")
+    assert compose(q, p) == Undefined("coincident-points")
+
+
+def test_equal_numerators_over_other_denominators_are_not_coincident():
+    # the double surface holds the line x + y + z = 0, z = 0 through the
+    # origin, so (1, -1, 0) and (1/2, -1/2, 0) share the numerators of their
+    # forms; they differ, and the line through them lies on the surface
+    p, q = F2Point(1, -1, 0), F2Point(Fraction(1, 2), Fraction(-1, 2), 0)
+    assert p.form[:3] == q.form[:3] and p.form != q.form
+    for a, b in ((p, q), (q, p)):
+        assert assert_matches_oracle(a, b) == Infinite(ProjectivePoint((1, -1, 0, 0)))

@@ -1,4 +1,5 @@
-"""Membership is decided in one place: ``Surface.contains``.
+"""Membership is decided in one place: the integer residual that
+``Surface.contains`` reads, and that a point reads on its stored form.
 
 ``Surface.defect`` returns the exact Fraction Q(p) - kappa*xyz - sigma, for
 arithmetic such as the discriminant in ``solve_z``.  No module of the
