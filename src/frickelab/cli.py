@@ -215,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("check", help="seeded randomized property check")
     p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--pairs", type=_integer, default=50)
+    p.add_argument("--pairs", type=_positive_int, default=50)
 
     return top
 

@@ -184,8 +184,10 @@ def normalize_projective(values: Sequence[Rat]) -> ProjectivePoint:
 
 
 def parse_projective(text: str) -> ProjectivePoint:
-    """Parse "[p:q:...]" (brackets optional) into a normalized point."""
-    body = text.strip().lstrip("[").rstrip("]")
+    """Parse "[p:q:...]" (a matched pair of brackets optional) into a normalized point."""
+    body = text.strip()
+    if body[:1] == "[" and body[-1:] == "]":
+        body = body[1:-1]
     return normalize_projective([parse_rational(part) for part in body.split(":")])
 
 

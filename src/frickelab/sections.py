@@ -9,26 +9,22 @@ commutative group law: A + B is the second intersection with the conic
 of the line through O parallel to the chord AB (Lemmermeyer, "Conics - a
 poor man's elliptic curves", arXiv:math/0311306).  Sums, doubles and
 inverses share one chord: the second point on the line through a point
-in an integer direction (B - A over the points' common denominator, or
-the tangent (C_z, -C_x) from the integer gradient, a positive multiple of
-the conic's), computed in integers over one common denominator; the chord
-is homogeneous of degree 2 in the direction, so its scale does not
-matter.  The chord's four values (beta, gamma, x, z) and the two points
-of a sum are brought over their common denominator by one fixed-arity
-four-value conversion on ``exact._ratio``, not by the variable-arity
-``common_denominator``.  Frames and points are validated by
-``Surface.contains``.  The node of a section that is a line pair has no
-tangent: SingularPoint.  The module also covers the points at
-infinity, the dihedral transforms of a section (the frame's own Vieta
-moves in x and in z, the swap, and B = -1 on Fricke sections), and their
-closed forms: the powers of TA and TC, b_r and the minus continued
-fraction convergents all read off one Lucas sequence U_r(-beta),
-computed in integers by doubling, and refused (DomainError) when the
-result would pass MAX_LUCAS_BITS bits.
+in an integer direction (B - A times both points' denominators, or the
+tangent (C_z, -C_x) from the integer gradient, a positive multiple of
+the conic's), computed in integers; the chord is homogeneous of degree 2
+in the direction, so its scale does not matter.  Frames and points keep
+the integer form (x, n0, z) = (X, N, Z)/d that their validation
+computes, and the chord reads only that form.  The node of a section
+that is a line pair has no tangent: SingularPoint.  The module also
+covers the points at infinity, the dihedral transforms of a section (the
+frame's own Vieta moves in x and in z, the swap, and B = -1 on Fricke
+sections), and their closed forms: the powers of TA and TC, b_r and the
+minus continued fraction convergents all read off one Lucas sequence
+U_r(-beta), computed in integers by doubling, and refused (DomainError)
+when the result would pass MAX_LUCAS_BITS bits.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
@@ -42,7 +38,7 @@ from .exact import (
     SingularPoint,
     Slope,
     Surface,
-    _ratio,
+    _over_one_denominator,
     common_denominator,
     format_point,
     format_rational,
@@ -72,8 +68,8 @@ class SectionFrame:
     n0: Fraction
     k0: Fraction
     surface: Surface = FRICKE
-    # (beta, gamma) = (2*cross - kappa*n0, 2*cross*n0) of the section conic
-    conic: tuple[Fraction, Fraction] = field(init=False, repr=False, compare=False)
+    # (m0, n0, k0) = (M, N, K)/d, as a point's (x, n0, z) = (X, N, Z)/d
+    form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.m0) is not Fraction:
@@ -82,14 +78,19 @@ class SectionFrame:
             object.__setattr__(self, "n0", Fraction(self.n0))
         if type(self.k0) is not Fraction:
             object.__setattr__(self, "k0", Fraction(self.k0))
-        if not self.contains(self.m0, self.k0):
+        form = _over_one_denominator((self.m0, self.n0, self.k0))
+        if self.surface._residual(form):
             point = format_point((self.m0, self.n0, self.k0))
             raise OffSection(f"{point} is not on the surface")
         if self.n0 == 0:
             raise OffSection("n0 = 0 degenerates the section")
+        object.__setattr__(self, "form", form)
+
+    @property
+    def conic(self) -> tuple[Fraction, Fraction]:
+        """(beta, gamma) = (2*cross - kappa*n0, 2*cross*n0) of the section conic."""
         s, a, b = self.surface, self.n0.numerator, self.n0.denominator
-        beta, gamma = Fraction(2 * s.cross * b - s.kappa * a, b), Fraction(2 * s.cross * a, b)
-        object.__setattr__(self, "conic", (beta, gamma))
+        return Fraction(2 * s.cross * b - s.kappa * a, b), Fraction(2 * s.cross * a, b)
 
     @property
     def origin(self) -> "SectionPoint":
@@ -113,14 +114,17 @@ class SectionPoint:
     x: Fraction
     z: Fraction
     frame: SectionFrame
+    form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if type(self.x) is not Fraction:
             object.__setattr__(self, "x", Fraction(self.x))
         if type(self.z) is not Fraction:
             object.__setattr__(self, "z", Fraction(self.z))
-        if not self.frame.contains(self.x, self.z):
+        form = _over_one_denominator((self.x, self.frame.n0, self.z))
+        if self.frame.surface._residual(form):
             raise OffSection(f"{format_point(self.xy)} is not on the section")
+        object.__setattr__(self, "form", form)
 
     @property
     def xy(self) -> tuple[Fraction, Fraction]:
@@ -307,36 +311,30 @@ def cf_convergent(frame: SectionFrame, r: int) -> Fraction:
 # -- the group law -------------------------------------------------------------
 
 
-def _four_over_one(a: Rat, b: Rat, c: Rat, e: Rat) -> tuple[int, int, int, int, int]:
-    """(A, B, C, E, d): four values written as (A, B, C, E)/d, d the lcm of
-    their denominators, as ``common_denominator`` gives them but in
-    fixed-arity code."""
-    (A, da), (B, db), (C, dc), (E, de) = _ratio(a), _ratio(b), _ratio(c), _ratio(e)
-    d = math.lcm(da, db, dc, de)
-    return A * (d // da), B * (d // db), C * (d // dc), E * (d // de), d
-
-
-def _in_integers(frame: SectionFrame, x: Rat, z: Rat):
-    """(X, Z, d, B, gx, gz): the point (x, z) = (X, Z)/d and beta = B/d over one
-    common denominator d with the conic's gamma, and the integer gradient
-    (gx, gz) = d^2*(C_x, C_z) of the section conic at (x, z)."""
-    b, g, x, z, d = _four_over_one(*frame.conic, x, z)
+def _in_integers(surface: Surface, form: tuple[int, int, int, int]):
+    """(X, Z, d, B, gx, gz) for the point (x, z) = (X, Z)/d of the form
+    (X, N, Z, d) on the section y = N/d: beta = B/d, and the integer
+    gradient (gx, gz) = d^2*(C_x, C_z) of the section conic at (x, z)."""
+    x, n, z, d = form
+    b, g = 2 * surface.cross * d - surface.kappa * n, 2 * surface.cross * n
     return x, z, d, b, 2 * d * x + b * z + d * g, 2 * d * z + b * x + d * g
 
 
-def _gradient(frame: SectionFrame, x: Rat, z: Rat) -> tuple[int, int]:
+def _gradient(surface: Surface, form: tuple[int, int, int, int]) -> tuple[int, int]:
     """(C_x, C_z) times a positive integer: the gradient of the section conic
-    at (x, z) in integers, nonzero off a node."""
-    *_, cx, cz = _in_integers(frame, x, z)
+    at the point of the form, in integers, nonzero off a node."""
+    *_, cx, cz = _in_integers(surface, form)
     if not (cx or cz):
-        point = format_point((x, z))
+        point = format_point((Fraction(form[0], form[3]), Fraction(form[2], form[3])))
         raise SingularPoint(f"the section is singular at {point}: it has no tangent there")
     return cx, cz
 
 
-def _second_point(frame: SectionFrame, x0: Rat, z0: Rat, u: int, w: int) -> SectionPoint:
+def _second_point(
+    frame: SectionFrame, form: tuple[int, int, int, int], u: int, w: int
+) -> SectionPoint:
     """Second intersection with the section of the line (x0 + t*u, z0 + t*w)
-    in the integer direction (u, w).
+    through the point (x0, z0) of the form, in the integer direction (u, w).
 
     Along it the conic is t*(C_x*u + C_z*w) + t^2*(u^2 + beta*u*w + w^2),
     with the gradient taken at (x0, z0).  With x0, z0 and beta written as
@@ -344,7 +342,7 @@ def _second_point(frame: SectionFrame, x0: Rat, z0: Rat, u: int, w: int) -> Sect
     point is homogeneous of degree 2 in (u, w), so every nonzero multiple
     of a direction gives the same point.
     """
-    x, z, d, b, cx, cz = _in_integers(frame, x0, z0)
+    x, z, d, b, cx, cz = _in_integers(frame.surface, form)
     lead = d * (u * u + w * w) + b * u * w
     if lead == 0:
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
@@ -356,24 +354,24 @@ def _second_point(frame: SectionFrame, x0: Rat, z0: Rat, u: int, w: int) -> Sect
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:
     """Slope of the tangent line to the section at p."""
     _on_frame(frame, p)
-    cx, cz = _gradient(frame, p.x, p.z)
+    cx, cz = _gradient(frame.surface, p.form)
     return Fraction(-cx, cz) if cz else AT_INFINITY
 
 
 def quadric_add(frame: SectionFrame, p1: SectionPoint, p2: SectionPoint) -> SectionPoint:
     """The conic group law with neutral element O."""
     _on_frame(frame, p1, p2)
-    if p1.xy == p2.xy:
+    if p1.form == p2.form:
         return quadric_double(frame, p1)
-    x1, z1, x2, z2, _d = _four_over_one(p1.x, p1.z, p2.x, p2.z)
-    return _second_point(frame, frame.m0, frame.k0, x2 - x1, z2 - z1)
+    (x1, _n, z1, d1), (x2, _n, z2, d2) = p1.form, p2.form
+    return _second_point(frame, frame.form, x2 * d1 - x1 * d2, z2 * d1 - z1 * d2)
 
 
 def quadric_double(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     """P + P, via the chord through O parallel to the tangent at P."""
     _on_frame(frame, p)
-    cx, cz = _gradient(frame, p.x, p.z)
-    return _second_point(frame, frame.m0, frame.k0, cz, -cx)
+    cx, cz = _gradient(frame.surface, p.form)
+    return _second_point(frame, frame.form, cz, -cx)
 
 
 def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
@@ -383,5 +381,5 @@ def quadric_inverse(frame: SectionFrame, p: SectionPoint) -> SectionPoint:
     to the tangent at O.
     """
     _on_frame(frame, p)
-    cx, cz = _gradient(frame, frame.m0, frame.k0)
-    return _second_point(frame, p.x, p.z, cz, -cx)
+    cx, cz = _gradient(frame.surface, frame.form)
+    return _second_point(frame, p.form, cz, -cx)

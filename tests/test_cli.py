@@ -177,6 +177,12 @@ class TestChartsAndTransfers:
         payload = invoke_json(capsys, "p2-compose", "[2:1:1]", "[1:2:5]")
         assert payload == {"result": "[5:-1:-8]"}
 
+    @pytest.mark.parametrize("point", ["[[1:1:1]]]", "1:1:1]", "[1:1:1", "[[1:1:1]]"])
+    def test_unmatched_brackets_are_a_usage_error(self, capsys, point):
+        code, out, err = invoke_usage(capsys, "phi", point)
+        assert code == 2 and out == ""
+        assert f"argument p: invalid parse value: {point!r}" in err
+
 
 class TestCheck:
     def test_seeded_check(self, capsys):
@@ -184,6 +190,13 @@ class TestCheck:
         assert payload["result"] == "ok"
         assert payload["seed"] == 7
         assert payload["pairs-checked"] > 0
+
+    @pytest.mark.parametrize("pairs", ["0", "-5", "-0"])
+    def test_pairs_must_be_positive(self, capsys, pairs):
+        # a check of no pairs would print "ok" having verified nothing
+        code, out, err = invoke_usage(capsys, "check", "--pairs", pairs)
+        assert code == 2 and out == ""
+        assert f"argument --pairs: expected a positive integer: {pairs!r}" in err
 
 
 class TestPlainFormat:

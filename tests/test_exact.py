@@ -72,6 +72,17 @@ class TestNormalizeProjective:
     def test_str_form(self):
         assert str(normalize_projective([15, -3, -24])) == "[5:-1:-8]"
 
+    @pytest.mark.parametrize("text", ["[2:-4:6]", "2:-4:6", " [ 2:-4:6 ] ", "[2: -4 :6]"])
+    def test_parse_reads_one_optional_pair_of_brackets(self, text):
+        assert exact.parse_projective(text).coords == (1, -2, 3)
+
+    @pytest.mark.parametrize(
+        "text", ["[[1:1:1]]]", "[[1:1:1]]", "1:1:1]", "[1:1:1", "]1:1:1[", "[1:1:1]]", "[]", "[", "]"]
+    )
+    def test_parse_rejects_other_brackets(self, text):
+        with pytest.raises(ValueError):
+            exact.parse_projective(text)
+
 
 class TestRationalWire:
     def test_format(self):

@@ -4,11 +4,12 @@ denominator per point: ``compose`` against the line-cubic oracle,
 ``Surface.contains`` against a zero defect, the oracle, ``line_point`` and
 the affine charts against Fraction transcriptions of their definitions
 written out here, the section chord and ``tangent_slope`` against
-their slope forms and under scaling of the integer direction, and the
-fixed-arity conversions of the membership test, ``compose`` and the chord
-against the variable-arity common denominator written out here; ``compose``
-also against its closed form in Fractions, and the integer form each point
-keeps against that conversion."""
+their slope forms and under scaling of the integer direction, the chord's
+integers against Fractions, and the fixed-arity conversion of the
+membership test against the variable-arity common denominator written out
+here; ``compose`` also against its closed form in Fractions, and the
+integer form each point, section frame and section point keeps against
+that conversion."""
 import copy
 import dataclasses
 import decimal
@@ -28,6 +29,7 @@ from frickelab import (
     DOUBLE,
     FRICKE,
     F2Point,
+    F2SectionFrame,
     Finite,
     FrickePoint,
     Infinite,
@@ -68,6 +70,8 @@ from frickelab.sections import (
     tangent_slope,
 )
 from frickelab.tree import canonical, generate
+
+from conftest import f2_section_point_pool, section_point_pool
 
 KERNEL_SETTINGS = settings(max_examples=150, derandomize=True, deadline=None)
 
@@ -519,9 +523,14 @@ def slope_chord(frame, x0, z0, mu):
     return (x0 + u, z0 + mu * u)
 
 
-def slope_of_tangent(frame, x, z):
+def fraction_gradient(frame, x, z):
+    """(C_x, C_z) of the section conic at (x, z), in Fractions."""
     beta, gamma = slope_conic(frame)
-    cx, cz = 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
+    return 2 * x + beta * z + gamma, 2 * z + beta * x + gamma
+
+
+def slope_of_tangent(frame, x, z):
+    cx, cz = fraction_gradient(frame, x, z)
     if cx == cz == 0:
         raise SingularPoint("a node has no tangent")
     return AT_INFINITY if cz == 0 else -cx / cz
@@ -550,6 +559,8 @@ SECTION_FRAMES = {
     "fricke-1-5-2": SectionFrame(1, 5, 2),
     "fricke-2-5-29": SectionFrame(2, 5, 29),
     "fricke-rational": SectionFrame(Fraction(15, 4), Fraction(-3, 4), -6),
+    # the chart point at (1/2, 1/3): beta = -49/18, over the form's d = 108
+    "fricke-chart": SectionFrame(Fraction(49, 36), Fraction(49, 54), Fraction(49, 18)),
     "double-1-4-25": SectionFrame(1, 4, 25, DOUBLE),
     "double-rational": SectionFrame(
         Fraction(25, 36), Fraction(100, 81), Fraction(625, 324), DOUBLE
@@ -666,7 +677,7 @@ def integer_directions(frame, pool):
         (x1, z1, x2, z2), _d = common_denominator((p.x, p.z, q.x, q.z))
         if (x1, z1) != (x2, z2):
             directions.append((x2 - x1, z2 - z1))
-        got = outcome(_gradient, frame, p.x, p.z)
+        got = outcome(_gradient, frame.surface, p.form)
         if isinstance(got, tuple):
             directions.append((got[1], -got[0]))
     return directions
@@ -678,10 +689,10 @@ def test_chord_kernel_is_homogeneous_in_its_direction(name):
     seen = set()
     for p in pool[:8]:
         for u, w in integer_directions(frame, pool):
-            got = section_outcome(_second_point, frame, p.x, p.z, u, w)
+            got = section_outcome(_second_point, frame, p.form, u, w)
             seen.add(got if isinstance(got, type) else "point")
             for scale in (-3, 2, 7):
-                assert section_outcome(_second_point, frame, p.x, p.z, scale * u, scale * w) == got
+                assert section_outcome(_second_point, frame, p.form, scale * u, scale * w) == got
     assert "point" in seen
     if name in LINE_PAIRS or "parabola" in name:
         assert DenominatorVanishes in seen
@@ -696,12 +707,12 @@ def test_tangent_slope_matches_slope_form(name):
         assert got in (AT_INFINITY, SingularPoint) or type(got) is Fraction
 
 
-# -- fixed-arity conversions against the generic common denominator ------------
+# -- the fixed-arity conversion against the generic common denominator ----------
 
 
 def generic_common_denominator(values):
     """The values as integers over the lcm of their denominators, for any
-    number of values: what the fixed-arity conversions must agree with."""
+    number of values: what the fixed-arity conversion must agree with."""
     ratios = [Fraction(v).as_integer_ratio() for v in values]
     d = math.lcm(*[den for _num, den in ratios])
     return [num * (d // den) for num, den in ratios], d
@@ -768,33 +779,26 @@ def test_contains_rejects_other_arities(surface, p):
         assert str(exc.value) == str(generic.value)
 
 
-@KERNEL_SETTINGS
-@given(st.lists(st.one_of(*COORDINATES.values()), min_size=4, max_size=4))
-def test_four_values_match_generic_denominator(values):
-    ints, d = generic_common_denominator(values)
-    converted = sections._four_over_one(*values)
-    assert converted == (*ints, d)
-    assert all(isinstance(v, int) for v in converted)
-
-
-def generic_in_integers(frame, x, z):
-    (b, g, x, z), d = generic_common_denominator((*frame.conic, x, z))
-    return x, z, d, b, 2 * d * x + b * z + d * g, 2 * d * z + b * x + d * g
-
-
 @pytest.mark.parametrize("name", [*SECTION_FRAMES, *LINE_PAIRS])
 def test_chord_conversions_match_generic_denominator(name, monkeypatch):
+    # the chord reads a point's form (X, N, Z, d) as it is: X/d, Z/d and
+    # B/d are x, z and beta, and its gradient is d^2 times the conic's
     frame, pool = section_pool(name, random.Random(name))
-    for p in pool:
-        assert _in_integers(frame, p.x, p.z) == generic_in_integers(frame, p.x, p.z)
-    # the direction quadric_add hands to the chord kernel is B - A over the
-    # two points' common denominator
-    directions = []
+    beta, _gamma = slope_conic(frame)
+    for form, (x, z) in [(frame.form, (frame.m0, frame.k0)), *((p.form, p.xy) for p in pool)]:
+        ints, d = generic_common_denominator((x, frame.n0, z))
+        assert form == (*ints, d)
+        X, Z, d, B, gx, gz = _in_integers(frame.surface, form)
+        assert (Fraction(X, d), Fraction(Z, d), Fraction(B, d)) == (x, z, beta)
+        assert (gx, gz) == tuple(d * d * c for c in fraction_gradient(frame, x, z))
+    # quadric_add hands the chord kernel the base point's form and B - A
+    # times both points' denominators, a positive multiple of B - A
+    calls = []
     kernel = sections._second_point
 
-    def recording(frame, x0, z0, u, w):
-        directions.append((u, w))
-        return kernel(frame, x0, z0, u, w)
+    def recording(frame, form, u, w):
+        calls.append((form, u, w))
+        return kernel(frame, form, u, w)
 
     monkeypatch.setattr(sections, "_second_point", recording)
     checked = 0
@@ -802,12 +806,26 @@ def test_chord_conversions_match_generic_denominator(name, monkeypatch):
         for q in pool[:10]:
             if p.xy == q.xy:
                 continue
-            del directions[:]
+            del calls[:]
             outcome(sections.quadric_add, frame, p, q)
-            (x1, z1, x2, z2), _d = generic_common_denominator((p.x, p.z, q.x, q.z))
-            assert directions == [(x2 - x1, z2 - z1)]
+            [(form, u, w)] = calls
+            scale = p.form[3] * q.form[3]
+            assert form == frame.form and scale > 0
+            assert (u, w) == (scale * (q.x - p.x), scale * (q.z - p.z))
             checked += 1
     assert checked > 100
+
+
+def test_chord_reads_beta_over_the_forms_denominator():
+    # at the chart point (1/2, 1/3) beta = -49/18 in lowest terms, while the
+    # form's d = 108 is the lcm of the denominators of (m0, n0, k0)
+    frame = SECTION_FRAMES["fricke-chart"]
+    assert frame.form == (147, 98, 294, 108)
+    X, Z, d, B, gx, gz = _in_integers(frame.surface, frame.form)
+    assert (X, Z, d, B) == (147, 294, 108, -294)
+    assert Fraction(B, d) == frame.conic[0] == Fraction(-49, 18)
+    cx, cz = fraction_gradient(frame, frame.m0, frame.k0)
+    assert (gx, gz) == (d * d * cx, d * d * cz)
 
 
 def fraction_compose(surface, p, q):
@@ -932,3 +950,89 @@ def test_equal_numerators_over_other_denominators_are_not_coincident():
     assert p.form[:3] == q.form[:3] and p.form != q.form
     for a, b in ((p, q), (q, p)):
         assert assert_matches_oracle(a, b) == Infinite(ProjectivePoint((1, -1, 0, 0)))
+
+
+# -- the integer form a section frame and a section point keep ------------------
+
+
+def parent_conic(frame):
+    """(beta, gamma) as the frame computed them when it stored them."""
+    s, a, b = frame.surface, frame.n0.numerator, frame.n0.denominator
+    return Fraction(2 * s.cross * b - s.kappa * a, b), Fraction(2 * s.cross * a, b)
+
+
+def section_triple(v):
+    """(m0, n0, k0) of a frame, (x, n0, z) of a section point."""
+    if isinstance(v, SectionFrame):
+        return v.m0, v.n0, v.k0
+    return v.x, v.frame.n0, v.z
+
+
+def assert_section_form_is_canonical(v):
+    ints, d = generic_common_denominator(section_triple(v))
+    assert v.form == _over_one_denominator(section_triple(v)) == (*ints, d)
+    assert all(type(c) is int for c in v.form)
+
+
+# the group-law pools of the acceptance criteria, on integral and rational frames
+GROUP_POOLS = {
+    "pool-fricke-1-5-2": (SectionFrame(1, 5, 2), section_point_pool),
+    "pool-fricke-rational": (SECTION_FRAMES["fricke-rational"], section_point_pool),
+    "pool-fricke-chart": (SECTION_FRAMES["fricke-chart"], section_point_pool),
+    "pool-double-1-4-25": (F2SectionFrame(1, 4, 25), f2_section_point_pool),
+    "pool-double-rational": (SECTION_FRAMES["double-rational"], f2_section_point_pool),
+}
+
+
+@pytest.mark.parametrize("name", [*SECTION_FRAMES, *LINE_PAIRS, *GROUP_POOLS])
+def test_section_forms_are_the_integer_forms(name):
+    if name in GROUP_POOLS:
+        frame, make_pool = GROUP_POOLS[name]
+        pool = make_pool(frame, random.Random(name), 20)
+    else:
+        frame, pool = section_pool(name, random.Random(name))
+    assert_section_form_is_canonical(frame)
+    for p in pool:
+        assert_section_form_is_canonical(p)
+    assert frame.conic == parent_conic(frame) == slope_conic(frame)
+    assert all(type(v) is Fraction for v in frame.conic)
+
+
+@KERNEL_SETTINGS
+@given(surfaces, st.lists(rationals, min_size=3, max_size=3))
+def test_section_forms_on_tall_sigma_frames(surface, triple):
+    assume(triple[1] != 0)
+    frame = shifted(surface, tuple(triple))
+    assert_section_form_is_canonical(frame)
+    assert_section_form_is_canonical(frame.origin)
+    assert frame.conic == parent_conic(frame)
+
+
+def test_section_form_leaves_eq_hash_and_repr():
+    frame = SectionFrame(1, 5, 2)
+    spelled = SectionFrame(Fraction(2, 2), decimal.Decimal("5.0"), 2)
+    p, q = SectionPoint(1, 2, frame), SectionPoint(Fraction(3, 3), 2, spelled)
+    assert frame == spelled and hash(frame) == hash(spelled)
+    assert p == q and hash(p) == hash(q)
+    assert p.form == q.form and frame.form == spelled.form
+    # the fields compared, hashed and shown are those before the form was stored
+    assert [f.name for f in dataclasses.fields(frame) if f.compare] == ["m0", "n0", "k0", "surface"]
+    assert [f.name for f in dataclasses.fields(p) if f.compare] == ["x", "z", "frame"]
+    assert hash(frame) == hash((frame.m0, frame.n0, frame.k0, frame.surface))
+    assert hash(p) == hash((p.x, p.z, p.frame))
+    surface = "surface=Surface(name='fricke', kappa=3, cross=0, sigma=Fraction(0, 1))"
+    shown = f"SectionFrame(m0=Fraction(1, 1), n0=Fraction(5, 1), k0=Fraction(2, 1), {surface})"
+    assert repr(frame) == repr(spelled) == shown
+    assert repr(p) == repr(q) == f"SectionPoint(x=Fraction(1, 1), z=Fraction(2, 1), frame={shown})"
+    assert repr(F2SectionFrame(1, 4, 25)) == (
+        "F2SectionFrame(m0=Fraction(1, 1), n0=Fraction(4, 1), k0=Fraction(25, 1), "
+        "surface=Surface(name='double', kappa=9, cross=1, sigma=Fraction(0, 1)))"
+    )
+    # a copy keeps the form; replace validates anew and recomputes it
+    for v in (frame, p, F2SectionFrame(1, 4, 25), SECTION_FRAMES["fricke-shifted"].origin):
+        for other in (copy.copy(v), copy.deepcopy(v), pickle.loads(pickle.dumps(v))):
+            assert type(other) is type(v) and other == v
+            assert other.form == v.form
+        assert replace(v).form == v.form
+        with pytest.raises(ValueError):
+            replace(v, form=(0, 0, 0, 1))
