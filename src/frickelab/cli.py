@@ -36,6 +36,19 @@ from .exact import (
 )
 
 
+def _reader(parse):
+    """An argparse type over ``parse``: its ValueError is a usage error that
+    keeps the reason (argparse alone prints only the function's name)."""
+
+    def read(text: str):
+        try:
+            return parse(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
+    return read
+
+
 def _parse_rationals(count: int):
     """Parser of ``count`` comma-separated exact rationals."""
 
@@ -45,7 +58,7 @@ def _parse_rationals(count: int):
             raise argparse.ArgumentTypeError(f"expected {count} values: {text!r}")
         return parts
 
-    return parse
+    return _reader(parse)
 
 
 def _parse_p2(arity: int):
@@ -57,7 +70,7 @@ def _parse_p2(arity: int):
             raise argparse.ArgumentTypeError(f"expected {arity} coordinates: {text!r}")
         return point
 
-    return parse
+    return _reader(parse)
 
 
 def _integer(text: str) -> int:
@@ -99,14 +112,28 @@ def _compose_payload(result) -> dict:
     return {"result": _ser(result.point)}
 
 
-def _emit(payload, fmt: str) -> None:
-    if fmt == "plain":
-        if isinstance(payload, dict) and set(payload) == {"result"}:
-            print(payload["result"])
-        else:
-            print(payload)
-    else:
-        print(json.dumps(payload, sort_keys=True))
+def _text(value, plain: bool) -> str:
+    """A payload value (str, int, dict, list or tuple) as JSON with sorted keys,
+    or if ``plain`` as its repr with dicts in insertion order; in both,
+    integers at any size, tuples as lists and integer keys as strings."""
+    if isinstance(value, str):
+        return repr(value) if plain else json.dumps(value)
+    if isinstance(value, int):
+        return format_rational(value)
+    if isinstance(value, dict):
+        items = [(k if isinstance(k, str) else format_rational(k), v) for k, v in value.items()]
+        if not plain:
+            items.sort(key=lambda item: item[0])
+        return "{" + ", ".join([f"{_text(k, plain)}: {_text(v, plain)}" for k, v in items]) + "}"
+    return "[" + ", ".join([_text(v, plain) for v in value]) + "]"
+
+
+def _emit(payload: dict, fmt: str) -> None:
+    """Print a payload: JSON, or under --format plain its repr, where a lone
+    {"result": x} prints x as print(x) does."""
+    if fmt == "plain" and set(payload) == {"result"}:
+        payload = payload["result"]
+    print(payload if isinstance(payload, str) else _text(payload, fmt == "plain"))
 
 
 def _tree_dot(nodes: list[tree.TreeNode]) -> str:
@@ -133,12 +160,14 @@ def build_parser() -> argparse.ArgumentParser:
     top.set_defaults(surface="fricke")  # subcommands without --surface act on the Fricke surface
     sub = top.add_subparsers(dest="command", required=True)
 
+    rational = _reader(parse_rational)
+
     def surface_opt(p):
-        p.add_argument("--surface", choices=("fricke", "double"), default="fricke")
+        p.add_argument("--surface", choices=tuple(SURFACES), default="fricke")
 
     p = sub.add_parser("compose", help="secant composition of two surface points")
     surface_opt(p)
-    p.add_argument("--sigma", type=parse_rational, default=Fraction(0))
+    p.add_argument("--sigma", type=rational, default=Fraction(0))
     p.add_argument("p", type=_parse_rationals(3))
     p.add_argument("q", type=_parse_rationals(3))
 
@@ -180,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("chebyshev", help="b_r(n0)")
     p.add_argument("--r", type=_integer, required=True)
-    p.add_argument("--n0", type=parse_rational, required=True)
+    p.add_argument("--n0", type=rational, required=True)
 
     p = sub.add_parser("infinity", help="section points at infinity")
     surface_opt(p)
@@ -192,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("param", help="affine chart (P,Q) -> surface point")
     surface_opt(p)
-    p.add_argument("P", type=parse_rational)
-    p.add_argument("Q", type=parse_rational)
+    p.add_argument("P", type=rational)
+    p.add_argument("Q", type=rational)
 
     p = sub.add_parser("phi", help="plane -> projectivized surface")
     surface_opt(p)
@@ -224,13 +253,13 @@ class CheckFailed(Exception):
     """A law disagreed with the line-cubic oracle in ``check``."""
 
 
-def _run_check(seed: int, pairs: int) -> int:
+def _run_check(seed: int, pairs: int) -> dict:
     """Randomized oracle-equivalence check on both surfaces.
 
     Each composition of two distinct chart points must agree with the
     oracle: a Finite point lies at the oracle's parameter, an Infinite one
     answers a degenerate cubic, and an Undefined one is always a mismatch.
-    Returns the number of chart pairs checked.
+    Returns check's payload, with the number of chart pairs checked.
     """
     rng = random.Random(seed)
 
@@ -263,26 +292,17 @@ def _run_check(seed: int, pairs: int) -> int:
                 raise CheckFailed(
                     f"check failed on the {surface.name} surface at the charts ({p1}, {q1})"
                     f" and ({p2}, {q2}): compose gives"
-                    f" {json.dumps(_compose_payload(res), sort_keys=True)},"
+                    f" {_text(_compose_payload(res), plain=False)},"
                     f" the line-cubic oracle {expected}"
                 )
         checked += 1
-    return checked
-
-
-def _check(args) -> str:
-    """check's payload as its own text, so that the seed is echoed at any
-    size: JSON, or under --format plain the repr of the same dict."""
-    checked, seed = _run_check(args.seed, args.pairs), format_rational(args.seed)
-    if args.format == "plain":
-        return f"{{'result': 'ok', 'seed': {seed}, 'pairs-checked': {checked}}}"
-    return f'{{"pairs-checked": {checked}, "result": "ok", "seed": {seed}}}'
+    return {"result": "ok", "seed": seed, "pairs-checked": checked}
 
 
 # -- one handler per subcommand, with args.surface resolved to its record ----
 # A handler returns what its law returns, and ``run`` prints {"result": _ser(out)};
-# compose, star and frobenius return their own payload (a dict), and check and
-# the tree commands their own text (a str): DOT, or integers at any size.
+# compose, star, the tree commands, frobenius and check return their own payload
+# (a dict) for ``_emit`` to print, and only tree --format dot its own text (a str).
 
 
 def _compose(args) -> dict:
@@ -297,26 +317,17 @@ def _star(args) -> dict:
     return _compose_payload(fricke.star(p, q))
 
 
-def _triples(rows, fmt: str) -> str:
-    """Integer triples at any size: the JSON payload, or under --format plain
-    the list alone, which JSON and repr write alike."""
-    text = ", ".join("[" + ", ".join(map(format_rational, row)) + "]" for row in rows)
-    return f"[{text}]" if fmt == "plain" else f'{{"result": [{text}]}}'
-
-
-def _tree(args) -> str:
+def _tree(args) -> dict | str:
     root = tree.canonical(args.root, args.surface)
     nodes = tree.generate(root, depth=args.depth, max_component=args.max_component)
     if args.format == "dot":
         return _tree_dot(nodes)
-    return _triples((n.triple.values for n in nodes), args.format)
+    return {"result": [n.triple.values for n in nodes]}
 
 
 def _frobenius(args) -> dict:
     report = tree.frobenius_scan(args.max_component)
-    duplicates = {
-        str(key): [list(t.values) for t in ts] for key, ts in sorted(report.duplicates.items())
-    }
+    duplicates = {key: [t.values for t in ts] for key, ts in sorted(report.duplicates.items())}
     return {
         "result": {
             "max-component": report.max_component,
@@ -337,7 +348,7 @@ HANDLERS = {
     "star": _star,
     "tree": _tree,
     "frobenius": _frobenius,
-    "negative-tree": lambda args: _triples(df.negative_tree(args.n, args.depth), args.format),
+    "negative-tree": lambda args: {"result": df.negative_tree(args.n, args.depth)},
     "section-add": lambda args: sections.quadric_add(*_section(args, args.p, args.q)),
     "section-double": lambda args: sections.quadric_double(*_section(args, args.p)),
     "section-inverse": lambda args: sections.quadric_inverse(*_section(args, args.p)),
@@ -351,7 +362,7 @@ HANDLERS = {
     "psi": lambda args: fricke.psi(args.p),
     "p2-viete": lambda args: fricke.p2_viete(args.p, args.generator, args.surface),
     "p2-compose": lambda args: fricke.p2_compose(args.p, args.q, args.surface),
-    "check": _check,
+    "check": lambda args: _run_check(args.seed, args.pairs),
 }
 
 

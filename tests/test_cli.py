@@ -181,7 +181,8 @@ class TestChartsAndTransfers:
     def test_unmatched_brackets_are_a_usage_error(self, capsys, point):
         code, out, err = invoke_usage(capsys, "phi", point)
         assert code == 2 and out == ""
-        assert f"argument p: invalid parse value: {point!r}" in err
+        bad = {"[[1:1:1]]]": "[1", "1:1:1]": "1]", "[1:1:1": "[1", "[[1:1:1]]": "[1"}[point]
+        assert f"argument p: not of the form num[/den]: {bad!r}" in err
 
 
 class TestCheck:
@@ -288,6 +289,32 @@ class TestExitContract:
         with pytest.raises(SystemExit) as exc:
             run(["chebyshev", "--r", "3", "--n0", number])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compose", "1/0,1,1", "1,1,1"], "argument p: zero denominator: '1/0'"),
+            (["compose", "--sigma", "1/0", "1,1,1", "1,1,2"], "argument --sigma: zero denominator: '1/0'"),
+            (["star", "1,1,1", "1,x,1"], "argument q: not of the form num[/den]: 'x'"),
+            (["tree", "--root", "1,1,1.5"], "argument --root: not of the form num[/den]: '1.5'"),
+            (["infinity", "--frame", "1,,1"], "argument --frame: not of the form num[/den]: ''"),
+            (["section-add", "--frame", "1,1,1", "1,1", "1/0,1"], "argument q: zero denominator: '1/0'"),
+            (["chebyshev", "--r", "2", "--n0", "1e3"], "argument --n0: not of the form num[/den]: '1e3'"),
+            (["param", "1/0", "1"], "argument P: zero denominator: '1/0'"),
+            (["param", "1", "q"], "argument Q: not of the form num[/den]: 'q'"),
+            (["phi", "[1:1:1"], "argument p: not of the form num[/den]: '[1'"),
+            (["phi", "[0:0:0]"], "argument p: all projective coordinates are zero"),
+            (["psi", "[1:1:1/0:1]"], "argument p: zero denominator: '1/0'"),
+            (["p2-compose", "[1:1:1]", "1,1,-"], "argument q: not of the form num[/den]: '-'"),
+            # arity is checked after every number is read, with its own message
+            (["compose", "1,1", "1,1,1"], "argument p: expected 3 values: '1,1'"),
+            (["p2-viete", "--generator", "L", "1:1"], "argument p: expected 3 coordinates: '1:1'"),
+        ],
+    )
+    def test_malformed_numbers_keep_their_reason(self, capsys, argv, message):
+        code, out, err = invoke_usage(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f": error: {message}\n") and "Traceback" not in err
 
     def test_sigma_composition(self, capsys):
         payload = invoke_json(capsys, "compose", "--sigma", "-4", "1,2,3", "3,1,2")
