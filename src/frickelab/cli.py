@@ -27,6 +27,7 @@ from .exact import (
     ProjectivePoint,
     QuadraticIrrational,
     Surface,
+    _digits,
     format_rational,
     line_point,
     line_third_intersection,
@@ -116,12 +117,12 @@ def _text(value, plain: bool) -> str:
     """A payload value (str, int, dict, list or tuple) as JSON with sorted keys,
     or if ``plain`` as its repr with dicts in insertion order; in both,
     integers at any size, tuples as lists and integer keys as strings."""
+    if isinstance(value, int):
+        return _digits(value)
     if isinstance(value, str):
         return repr(value) if plain else json.dumps(value)
-    if isinstance(value, int):
-        return format_rational(value)
     if isinstance(value, dict):
-        items = [(k if isinstance(k, str) else format_rational(k), v) for k, v in value.items()]
+        items = [(k if isinstance(k, str) else _digits(k), v) for k, v in value.items()]
         if not plain:
             items.sort(key=lambda item: item[0])
         return "{" + ", ".join([f"{_text(k, plain)}: {_text(v, plain)}" for k, v in items]) + "}"
@@ -137,15 +138,12 @@ def _emit(payload: dict, fmt: str) -> None:
 
 
 def _tree_dot(nodes: list[tree.TreeNode]) -> str:
-    lines = ["digraph markov {"]
+    labels, edges = ["digraph markov {"], []
     for i, node in enumerate(nodes):
-        label = ",".join(map(format_rational, node.triple.values))
-        lines.append(f'  n{i} [label="({label})"];')
-    for i, node in enumerate(nodes):
+        labels.append(f'  n{i} [label="({",".join(map(_digits, node.triple.values))})"];')
         if node.parent is not None:
-            lines.append(f'  n{node.parent} -> n{i} [label="{node.via}"];')
-    lines.append("}")
-    return "\n".join(lines)
+            edges.append(f'  n{node.parent} -> n{i} [label="{node.via}"];')
+    return "\n".join(labels + edges + ["}"])
 
 
 def _chart(surface: Surface, P: Fraction, Q: Fraction) -> fricke.SurfacePoint:

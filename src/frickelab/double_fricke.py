@@ -18,11 +18,11 @@ from .exact import DOUBLE, FRICKE, DomainError, Rat, Surface, format_point, form
 from .fricke import (
     OffSurface,
     SurfacePoint,
+    _chart_coords,
     compose,
     p2_compose,
     p2_involution,
     p2_viete,
-    param_affine,
     phi,
     psi,
     viete,
@@ -115,9 +115,12 @@ def sqrt_descend(p: F2Point) -> tuple[int, int, int]:
 def f2_param_affine(P: Rat, Q: Rat) -> F2Point:
     """Chart (P,Q) -> ((P^2+Q^2+1)^2/9Q^2, ./9P^2, ./9P^2Q^2).
 
-    Coordinatewise square of the Fricke chart at the same (P,Q).
+    Coordinatewise square of the Fricke chart at the same (P,Q): in
+    integers (S^2/(3cb^2e)^2, S^2/(3abe^2)^2, S^2/(3abce)^2) with the
+    notation of ``fricke.param_affine``.  Only this point is validated,
+    not the Fricke point it squares.
     """
-    return F2Point(*(c * c for c in param_affine(P, Q).coords))
+    return F2Point(*(c * c for c in _chart_coords(P, Q)))
 
 
 # -- negative solution trees ---------------------------------------------------

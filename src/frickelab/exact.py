@@ -220,6 +220,22 @@ def _square_part(n: int) -> int:
     return s * r if r * r == n else s
 
 
+def _squarefree_split(u: int, v: int) -> tuple[int, int]:
+    """(s, r) with u*v = s**2 * r and r squarefree, for nonzero u and v of
+    one sign whose odd parts are coprime.
+
+    The power of 2 of the product is taken out apart; the square part of
+    the rest is the product of the square parts of the two odd parts, so
+    each is trial-divided by :func:`_square_part` only to its own cube
+    root, not to that of the product.
+    """
+    u, v = abs(u), abs(v)
+    tu, tv = (u & -u).bit_length() - 1, (v & -v).bit_length() - 1
+    u, v, twos = u >> tu, v >> tv, tu + tv
+    su, sv = _square_part(u), _square_part(v)
+    return su * sv << twos // 2, (u // (su * su)) * (v // (sv * sv)) << twos % 2
+
+
 @dataclass(frozen=True, slots=True)
 class QuadraticIrrational:
     """The exact value (a + b*sqrt(d)) / c with d > 1 squarefree, b != 0.
@@ -228,10 +244,16 @@ class QuadraticIrrational:
     A*t**2 + B*t + C with this value as a root is available from
     :meth:`minimal_quadratic`.
 
-    Every instance checks its own radicand with :func:`_square_part`: exact
-    for every d, in O(d**(1/3)) divisions, which is still exponential in
-    the bit length of d.  Arithmetic between values that share d keeps d
-    as it is instead of splitting it again.
+    Every public construction checks its own radicand with
+    :func:`_square_part`: exact for every d, in O(d**(1/3)) divisions,
+    which is still exponential in the bit length of d.  Only ``_quadratic``
+    (behind ``make_quadratic`` and the shared-radicand ``+``, ``-`` and
+    ``*``), ``__neg__`` and ``conjugate`` build values through
+    ``_squarefree``, which skips that check
+    (``tests/test_trusted_construction.py``): their d is the radicand of
+    a value already built, or the squarefree part that ``make_quadratic``
+    has just split off, and sums, products, negation and conjugation of
+    values over one squarefree d are again values over that d.
     """
 
     a: int
@@ -249,6 +271,17 @@ class QuadraticIrrational:
         if math.gcd(self.a, self.b, self.c) != 1:
             raise ValueError("coordinates not primitive")
 
+    @classmethod
+    def _squarefree(cls, a: int, b: int, d: int, c: int) -> "QuadraticIrrational":
+        """The value (a + b*sqrt(d))/c without ``__post_init__``, for a d
+        known to be squarefree and (a, b, c) already normalized."""
+        value = object.__new__(cls)
+        _set_a(value, a)  # the slots' own setters: no frozen __setattr__
+        _set_b(value, b)
+        _set_d(value, d)
+        _set_c(value, c)
+        return value
+
     def __str__(self) -> str:
         sign = "+" if self.b >= 0 else "-"
         a, b, d, c = map(format_rational, (self.a, abs(self.b), self.d, self.c))
@@ -263,7 +296,7 @@ class QuadraticIrrational:
         return (A // g, B // g, C // g)
 
     def conjugate(self) -> "QuadraticIrrational":
-        return QuadraticIrrational(self.a, -self.b, self.d, self.c)
+        return QuadraticIrrational._squarefree(self.a, -self.b, self.d, self.c)
 
     # exact arithmetic; mixed operands must share the same radicand ------
 
@@ -284,7 +317,7 @@ class QuadraticIrrational:
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadraticIrrational(-self.a, -self.b, self.d, self.c)
+        return QuadraticIrrational._squarefree(-self.a, -self.b, self.d, self.c)
 
     def __sub__(self, other):
         return self + (-other)
@@ -306,6 +339,12 @@ class QuadraticIrrational:
     __rmul__ = __mul__
 
 
+_set_a = QuadraticIrrational.a.__set__
+_set_b = QuadraticIrrational.b.__set__
+_set_d = QuadraticIrrational.d.__set__
+_set_c = QuadraticIrrational.c.__set__
+
+
 def make_quadratic(a: Rat, b: Rat, d: int):
     """Build (a + b*sqrt(d)) from rational parts, normalizing the radicand.
 
@@ -325,12 +364,13 @@ def make_quadratic(a: Rat, b: Rat, d: int):
 
 
 def _quadratic(a: Fraction, b: Fraction, d: int):
-    """(a + b*sqrt(d)) for a squarefree d > 1: a Fraction when b == 0."""
+    """(a + b*sqrt(d)) for a d > 1 known to be squarefree, which is not
+    checked again: a Fraction when b == 0."""
     if b == 0:
         return a
     (ai, bi), c = common_denominator((a, b))
     g = math.gcd(ai, bi, c)
-    return QuadraticIrrational(ai // g, bi // g, d, c // g)
+    return QuadraticIrrational._squarefree(ai // g, bi // g, d, c // g)
 
 
 def sqrt_exact(q: Rat):

@@ -156,21 +156,24 @@ def psi(p: ProjectivePoint) -> ProjectivePoint:
     return normalize_projective([x, y, z])
 
 
-def param_affine(P: Rat, Q: Rat) -> FrickePoint:
-    """The affine chart (P,Q) -> ((P^2+Q^2+1)/3Q, ./3P, ./3PQ).
-
-    In integers: with P = a/b, Q = c/e and S = a^2e^2 + c^2b^2 + b^2e^2,
-    the point is (S/3cb^2e, S/3abe^2, S/3abce).
-    """
+def _chart_coords(P: Rat, Q: Rat) -> tuple[Fraction, Fraction, Fraction]:
+    """The coordinates of ``param_affine(P, Q)``, not yet validated."""
     P, Q = Fraction(P), Fraction(Q)
     a, b, c, e = P.numerator, P.denominator, Q.numerator, Q.denominator
     if a == 0 or c == 0:
         raise ZeroArgument("chart parameters must be nonzero")
     be = b * e
     S = (a * e) ** 2 + (c * b) ** 2 + be * be
-    return FrickePoint(
-        Fraction(S, 3 * c * b * be), Fraction(S, 3 * a * be * e), Fraction(S, 3 * a * c * be)
-    )
+    return Fraction(S, 3 * c * b * be), Fraction(S, 3 * a * be * e), Fraction(S, 3 * a * c * be)
+
+
+def param_affine(P: Rat, Q: Rat) -> FrickePoint:
+    """The affine chart (P,Q) -> ((P^2+Q^2+1)/3Q, ./3P, ./3PQ).
+
+    In integers: with P = a/b, Q = c/e and S = a^2e^2 + c^2b^2 + b^2e^2,
+    the point is (S/3cb^2e, S/3abe^2, S/3abce).
+    """
+    return FrickePoint(*_chart_coords(P, Q))
 
 
 def param_affine_inverse(p: FrickePoint) -> tuple[Fraction, Fraction]:

@@ -33,17 +33,17 @@ from .exact import (
     AT_INFINITY,
     FRICKE,
     DomainError,
-    QuadraticIrrational,
     Rat,
     SingularPoint,
     Slope,
     Surface,
     _over_one_denominator,
+    _quadratic,
+    _squarefree_split,
     common_denominator,
     format_point,
     format_rational,
     is_rational_square,
-    make_quadratic,
     sqrt_exact,
 )
 
@@ -180,12 +180,24 @@ def infinity_points(frame: SectionFrame):
     irrationals in general; a pair of rationals when the radicand happens
     to be a rational square.  Their sum is -beta and their product is 1.
     An ellipse (beta^2 < 4) has none: DomainError.
+
+    With beta = p/q in lowest terms, beta^2 - 4 = (p - 2q)(p + 2q)/q^2.
+    The two factors have the sign of p (on the Fricke surface
+    p = -3*n0 < 0), and as gcd(p, q) = 1 they share only divisors of
+    gcd(p - 2q, 4q) = gcd(p - 2q, 4), so their odd parts are coprime and
+    ``_squarefree_split`` finds the square part factor by factor.  The
+    irrational roots are then built over that squarefree radicand
+    without checking it again.
     """
     beta = _hyperbola_beta(frame)
     p, q = beta.numerator, beta.denominator
-    d = p * p - 4 * q * q  # beta^2 - 4 = d/q^2: the roots are (-p +- sqrt(d))/2q
-    hi = make_quadratic(Fraction(-p, 2 * q), Fraction(1, 2 * q), d) if d else -beta / 2
-    return (hi.conjugate() if isinstance(hi, QuadraticIrrational) else -beta - hi, hi)
+    # beta^2 - 4 = s^2*r/q^2: the roots are (-p +- s*sqrt(r))/2q
+    s, r = _squarefree_split(p - 2 * q, p + 2 * q) if p * p != 4 * q * q else (0, 1)
+    if r == 1:
+        hi = Fraction(s - p, 2 * q)
+        return (-beta - hi, hi)
+    hi = _quadratic(Fraction(-p, 2 * q), Fraction(s, 2 * q), r)
+    return (hi.conjugate(), hi)
 
 
 # -- dihedral transforms and their closed forms --------------------------------

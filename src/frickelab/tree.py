@@ -21,7 +21,13 @@ class NotAMarkovNumber(DomainError):
 
 @dataclass(frozen=True, slots=True)
 class CanonicalTriple:
-    """Integer triple sorted ascending, on the surface of its record."""
+    """Integer triple sorted ascending, on the surface of its record.
+
+    Every public construction is validated: sorted, and on the surface by
+    ``Surface.contains``.  Only ``generate`` builds triples through
+    ``_vieta_child``, which skips that check for the sorted Vieta children
+    of a validated triple (``tests/test_trusted_construction.py``).
+    """
 
     values: tuple[int, int, int]
     surface: Surface = FRICKE
@@ -34,9 +40,22 @@ class CanonicalTriple:
             where = f"{s.name} with sigma = {format_rational(s.sigma)}" if s.sigma else s.name
             raise RootOffSurface(f"{format_point(self.values)} is not on {where}")
 
+    @classmethod
+    def _vieta_child(cls, values: tuple[int, int, int], surface: Surface) -> "CanonicalTriple":
+        """The triple of sorted ``values`` without ``__post_init__``, for a
+        Vieta child of a triple on ``surface`` (see ``generate``)."""
+        triple = object.__new__(cls)
+        _set_values(triple, values)  # the slots' own setters: no frozen __setattr__
+        _set_surface(triple, surface)
+        return triple
+
     @property
     def largest(self) -> int:
         return self.values[2]
+
+
+_set_values = CanonicalTriple.values.__set__
+_set_surface = CanonicalTriple.surface.__set__
 
 
 def canonical(values, surface: Surface = FRICKE) -> CanonicalTriple:
@@ -78,6 +97,14 @@ def generate(
     one descends to the root without its largest entry growing.  At least
     one limit is required.  Each node records the position of the node it
     was first reached from.
+
+    The root is validated where it was built; its descendants are built
+    by ``CanonicalTriple._vieta_child`` and not validated again.  With two
+    entries u, v fixed, the surface equation is a monic quadratic in the
+    third, and a Vieta move replaces that entry w by the other root
+    kappa*u*v - 2*cross*(u + v) - w: an integer, and a root of the same
+    equation, so every child of an integral triple on the surface is one
+    too, in any order of its entries.
     """
     if depth is None and max_component is None:
         raise DomainError("either depth or max_component must be given")
@@ -105,7 +132,7 @@ def generate(
         emitted.sort()
         frontier = list(range(len(out), len(out) + len(emitted)))
         out.extend(
-            TreeNode(CanonicalTriple(canon, s), label, level, parent)
+            TreeNode(CanonicalTriple._vieta_child(canon, s), label, level, parent)
             for canon, label, parent in emitted
         )
     return out

@@ -205,13 +205,18 @@ class TestRadicandCarried:
         calls = counting_square_part(monkeypatch)
         for result in (lambda: x + y, lambda: x * y, lambda: x * Fraction(1, 2), lambda: -x):
             calls.clear()
-            assert isinstance(result(), QuadraticIrrational)
-            assert calls == [5]  # the result's own __post_init__
+            value = result()
+            assert isinstance(value, QuadraticIrrational)
+            assert calls == []  # a shared squarefree radicand is not split again
+            assert value == QuadraticIrrational(value.a, value.b, value.d, value.c)
 
     def test_infinity_points_call_count(self, monkeypatch):
         calls = counting_square_part(monkeypatch)
-        infinity_points(SectionFrame(2, 195025, 33461))
-        assert len(calls) == 3
+        lo, hi = infinity_points(SectionFrame(2, 195025, 33461))
+        # beta^2 - 4 = (beta - 2)(beta + 2) at beta = -585075: one call per odd factor
+        assert calls == [585077, 585073]
+        for value in (lo, hi):
+            assert value == QuadraticIrrational(value.a, value.b, value.d, value.c)
 
     def test_square_denominator_keeps_the_numerator_radicand(self, monkeypatch):
         calls = counting_square_part(monkeypatch)
