@@ -7,6 +7,7 @@ continued fraction hiding in the TA-orbit.
 
 Run with: python3 demos/section_group.py
 """
+import math
 from fractions import Fraction
 
 from frickelab import (
@@ -25,6 +26,11 @@ from frickelab import (
 
 def fmt(pair):
     return "(" + ", ".join(str(Fraction(c)) for c in pair) + ")"
+
+
+def millionths(n):
+    """n / 10^6 with six decimals, for n >= 0."""
+    return f"{n // 10**6}.{n % 10**6:06d}"
 
 
 frame = SectionFrame(1, 1, 1)
@@ -65,5 +71,6 @@ print(f"  points at infinity:  {lo}  and  {hi}")
 print("  convergents b_r/b_(r-1) marching down to the larger one:")
 for r in range(1, 7):
     t = cf_convergent(frame, r)
-    print(f"    r = {r}:  {t}  ~ {float(t):.6f}")
-print(f"    target {hi} ~ {(3 + 5 ** 0.5) / 2:.6f}")
+    print(f"    r = {r}:  {t}  ~ {millionths(round(t * 10**6))}")
+# (3 + sqrt 5)/2 to the nearest millionth: sqrt 5 is irrational, so there is no tie
+print(f"    target {hi} ~ {millionths((3 * 10**6 + math.isqrt(5 * 10**12) + 1) // 2)}")

@@ -129,12 +129,15 @@ def _text(value, plain: bool) -> str:
     return "[" + ", ".join([_text(v, plain) for v in value]) + "]"
 
 
-def _emit(payload: dict, fmt: str) -> None:
-    """Print a payload: JSON, or under --format plain its repr, where a lone
-    {"result": x} prints x as print(x) does."""
-    if fmt == "plain" and set(payload) == {"result"}:
-        payload = payload["result"]
-    print(payload if isinstance(payload, str) else _text(payload, fmt == "plain"))
+def _emit(out, fmt: str) -> None:
+    """Print what a handler returns: text as it is, a law's value as {"result":
+    _ser(value)}, and a payload as JSON or under --format plain its repr, where
+    a lone {"result": x} prints x as print(x) does."""
+    if not isinstance(out, (str, dict)):
+        out = {"result": _ser(out)}
+    if fmt == "plain" and set(out) == {"result"}:
+        out = out["result"]
+    print(out if isinstance(out, str) else _text(out, fmt == "plain"))
 
 
 def _tree_dot(nodes: list[tree.TreeNode]) -> str:
@@ -298,9 +301,9 @@ def _run_check(seed: int, pairs: int) -> dict:
 
 
 # -- one handler per subcommand, with args.surface resolved to its record ----
-# A handler returns what its law returns, and ``run`` prints {"result": _ser(out)};
-# compose, star, the tree commands, frobenius and check return their own payload
-# (a dict) for ``_emit`` to print, and only tree --format dot its own text (a str).
+# A handler returns what its law returns; compose, star, the tree commands, frobenius
+# and check return their own payload (a dict), and tree --format dot its text (a str).
+# ``run`` hands it to ``_emit``, which writes all of stdout.
 
 
 def _compose(args) -> dict:
@@ -372,10 +375,7 @@ def run(argv: list[str] | None = None) -> int:
     except (DomainError, CheckFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if isinstance(out, str):
-        print(out)
-    else:
-        _emit(out if isinstance(out, dict) else {"result": _ser(out)}, args.format)
+    _emit(out, args.format)
     return 0
 
 

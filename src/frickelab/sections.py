@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from operator import attrgetter
 
 from .exact import (
     AT_INFINITY,
@@ -131,14 +130,12 @@ class SectionPoint:
         return (self.x, self.z)
 
 
-_FRAME_VALUE = attrgetter("m0", "n0", "k0", "surface")
-
-
 def _on_frame(frame: SectionFrame, *points: SectionPoint) -> None:
-    """OffSection unless every point belongs to the frame; frames are
-    compared by value, so a frame and an equal one of a subclass agree."""
+    """OffSection unless every point belongs to the frame: frames agree when their
+    canonical forms and surfaces do, so an equal frame of a subclass agrees."""
     for p in points:
-        if p.frame is not frame and _FRAME_VALUE(p.frame) != _FRAME_VALUE(frame):
+        other = p.frame
+        if other is not frame and (other.form, other.surface) != (frame.form, frame.surface):
             raise OffSection(f"{format_point(p.xy)} is a point of another section frame")
 
 

@@ -3,7 +3,8 @@
 It writes JSON with sorted keys or, under ``--format plain``, the repr of
 the same value, with integers at any size.  These tests hold it to
 ``json.dumps`` and ``print`` (run with the interpreter's digit limit
-lifted), and keep ``json.dumps`` at one call site in ``cli.py``.
+lifted), keep ``json.dumps`` at one call site in ``cli.py``, and keep
+every ``print`` to stdout in ``_emit``.
 """
 import ast
 import io
@@ -137,18 +138,21 @@ def test_handlers_return_data(fmt, argv):
     assert isinstance(out, str) == (argv[0] == "tree" and fmt == "dot")
 
 
-def _dumps_sites(path: Path) -> list[str]:
-    """The top-level function around each json.dumps call in the module."""
+def _call_sites(path: Path, match) -> list[str]:
+    """The top-level function around each call in the module that ``match`` accepts."""
     sites = []
     for stmt in ast.parse(path.read_text(), filename=str(path)).body:
         for node in ast.walk(stmt):
-            if (
-                isinstance(node, ast.Call)
-                and isinstance(node.func, ast.Attribute)
-                and node.func.attr == "dumps"
-            ):
+            if isinstance(node, ast.Call) and match(node):
                 sites.append(getattr(stmt, "name", "<module>"))
     return sites
+
+
+def _dumps_sites(path: Path) -> list[str]:
+    """The top-level function around each json.dumps call in the module."""
+    return _call_sites(
+        path, lambda call: isinstance(call.func, ast.Attribute) and call.func.attr == "dumps"
+    )
 
 
 def test_json_dumps_has_one_call_site_in_the_writer():
@@ -157,3 +161,19 @@ def test_json_dumps_has_one_call_site_in_the_writer():
     # and no other spelling of it
     tree = ast.parse(source.read_text(), filename=str(source))
     assert not any(isinstance(n, ast.ImportFrom) and n.module == "json" for n in ast.walk(tree))
+
+
+def _stdout_print_sites(path: Path) -> list[str]:
+    """The top-level function around each print call without file= in the module."""
+    return _call_sites(
+        path,
+        lambda call: getattr(call.func, "id", None) == "print"
+        and not any(k.arg == "file" for k in call.keywords),
+    )
+
+
+def test_only_the_writer_prints_to_stdout():
+    source = Path(cli.__file__)
+    assert _stdout_print_sites(source) == ["_emit"]
+    # and run hands it every output, in one call
+    assert _call_sites(source, lambda call: getattr(call.func, "id", None) == "_emit") == ["run"]

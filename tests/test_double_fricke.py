@@ -267,3 +267,34 @@ class TestF2Sections:
             lo, hi = f2_infinity_points(fr)
             assert lo + hi == 9 * fr.n0 - 2
             assert lo * hi == 1
+
+
+def test_f2_names_bind_the_generic_laws():
+    from functools import partial
+
+    from frickelab import double_fricke as df
+    from frickelab import fricke, sections
+    from frickelab.exact import DOUBLE
+
+    same = {
+        "f2_compose": fricke.compose,
+        "f2_psi": fricke.psi,
+        "f2_tangent_slope": sections.tangent_slope,
+        "f2_quadric_add": sections.quadric_add,
+        "f2_quadric_double": sections.quadric_double,
+        "f2_quadric_inverse": sections.quadric_inverse,
+        "f2_infinity_points": sections.infinity_points,
+        "F2SectionPoint": sections.SectionPoint,
+    }
+    for name, law in same.items():
+        assert getattr(df, name) is law, name
+    bound = {
+        "f2_phi": fricke.phi,
+        "f2_p2_viete": fricke.p2_viete,
+        "f2_p2_involution": fricke.p2_involution,
+        "f2_p2_compose": fricke.p2_compose,
+    }
+    for name, law in bound.items():
+        alias = getattr(df, name)
+        assert type(alias) is partial, name
+        assert (alias.func, alias.args, alias.keywords) == (law, (), {"surface": DOUBLE}), name

@@ -85,6 +85,48 @@ class TestFrame:
         assert dihedral(fr, p, "TC").xy == ta_power(f2, fr.origin, 2, "TC").xy == (841, 28561)
         assert quadric_inverse(f2, quadric_inverse(fr, p)).xy == p.xy
 
+    # every law that takes a frame and a point of it, as (frame, point) -> result
+    ON_FRAME_LAWS = {
+        "add": lambda fr, p: quadric_add(fr, fr.origin, p),
+        "double": quadric_double,
+        "inverse": quadric_inverse,
+        "tangent": tangent_slope,
+        "dihedral": lambda fr, p: dihedral(fr, p, "TA"),
+        "ta-power": lambda fr, p: ta_power(fr, p, 2),
+    }
+
+    @pytest.mark.parametrize("law", ON_FRAME_LAWS.values(), ids=ON_FRAME_LAWS)
+    @pytest.mark.parametrize(
+        "here, there",
+        [
+            (lambda: SectionFrame(1, 4, 25, DOUBLE), lambda: F2SectionFrame(1, 4, 25)),
+            (lambda: F2SectionFrame(1, 4, 25), lambda: SectionFrame(1, 4, 25, DOUBLE)),
+            (
+                lambda: SectionFrame(*RATIONAL_FRAME),
+                lambda: SectionFrame(*(str(c) for c in RATIONAL_FRAME)),
+            ),
+        ],
+        ids=["subclass", "base-class", "rebuilt"],
+    )
+    def test_a_point_of_an_equal_frame_is_accepted(self, law, here, there):
+        here, there = here(), there()
+        assert here is not there
+        p = dihedral(there, there.origin, "A")
+        assert law(here, p) == law(here, SectionPoint(p.x, p.z, here))
+
+    @pytest.mark.parametrize("law", ON_FRAME_LAWS.values(), ids=ON_FRAME_LAWS)
+    @pytest.mark.parametrize(
+        "here, there",
+        [
+            (SectionFrame(1, 5, 2), SectionFrame(2, 5, 1)),
+            (SectionFrame(1, 1, 1), SectionFrame(1, 1, 1, DOUBLE)),
+        ],
+        ids=["other-base-point", "other-surface"],
+    )
+    def test_a_point_of_another_frame_is_refused(self, law, here, there):
+        with pytest.raises(OffSection, match="another section frame"):
+            law(here, there.origin)
+
     def test_fundamental_flag(self):
         assert SectionFrame(1, 2, 1).is_fundamental
         assert not frame((1, 2, 5)).is_fundamental  # max sits in the last slot
