@@ -17,6 +17,7 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
+from typing import NamedTuple
 
 from . import double_fricke as df
 from . import fricke, sections, tree
@@ -250,6 +251,137 @@ def build_parser() -> argparse.ArgumentParser:
     return top
 
 
+# -- the direct reader: an argv of plain shape read from the parser's own actions --
+# argparse spends most of a small run on its general machinery (the pass that hands
+# the argv to the subparser, nargs patterns, prefix matching).  For a plain argv the
+# reader below builds the same Namespace from build_parser()'s actions alone; every
+# other argv, and every value a type or choices refuse, goes to argparse, which alone
+# writes --help, usage and errors.
+
+
+class _Table(NamedTuple):
+    """One parser as the direct reader reads it.  Every action of the parser but
+    --help stores one value (tests/test_cli_reader.py holds it to that)."""
+
+    parser: argparse.ArgumentParser
+    options: dict[str, argparse.Action]  # option string -> its action
+    positionals: tuple[argparse.Action, ...]  # in argv order
+    required: tuple[argparse.Action, ...]
+    defaults: dict[str, object]  # dest -> default, then set_defaults(), as argparse sets them
+    typed: tuple[argparse.Action, ...]  # string defaults that argparse converts by type
+
+
+def _table(parser: argparse.ArgumentParser) -> _Table:
+    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
+    defaults = {}
+    for dest, default in [(a.dest, a.default) for a in actions] + list(parser._defaults.items()):
+        defaults.setdefault(dest, default)
+    return _Table(
+        parser,
+        {s: a for a in actions for s in a.option_strings},
+        tuple(a for a in actions if not a.option_strings),
+        tuple(a for a in actions if a.required),
+        defaults,
+        tuple(a for a in actions if isinstance(a.default, str) and a.type is not None),
+    )
+
+
+@functools.cache
+def _tables() -> tuple[_Table, dict[str, _Table]]:
+    """The top parser's table, whose one positional is the subcommand, and each
+    subcommand's table by name."""
+    top = _table(build_parser())
+    return top, {name: _table(p) for name, p in top.positionals[0].choices.items()}
+
+
+_REFUSED = object()
+
+
+def _value(action: argparse.Action, text: str):
+    """``text`` through the action's type and choices as argparse reads it, or
+    _REFUSED where argparse reports a usage error."""
+    try:
+        value = text if action.type is None else action.type(text)
+    except (argparse.ArgumentTypeError, TypeError, ValueError):  # as in argparse's _get_value
+        return _REFUSED
+    if action.choices is not None and value not in action.choices:
+        return _REFUSED
+    return value
+
+
+def _read_plain(argv: list[str]) -> argparse.Namespace | None:
+    """build_parser().parse_args(argv) for an argv of plain shape, else None.
+
+    Plain: an optional ``--format``, the subcommand, exact long options each given
+    once as ``--opt=value`` or as ``--opt value`` with a value that does not start
+    with "-", at most one ``--`` and only positionals after it (at least one),
+    every positional and every required option present, and every value accepted
+    by its type and choices.  The shape is checked in full before any value is
+    converted: an argv of another shape falls back before any conversion, and one
+    with a refused value pays the conversions up to that value twice."""
+    top, commands = _tables()
+    given: dict[argparse.Action, str] = {}  # the current parser's, in argv order
+    table, taken, dashed, i = top, 0, False, 0
+    while i < len(argv):
+        token = argv[i]
+        i += 1
+        if token == "--":
+            if dashed or table is top or i == len(argv):
+                return None
+            dashed = True
+        elif dashed or token[:1] != "-":
+            if taken == len(table.positionals):
+                return None
+            given[table.positionals[taken]] = token
+            taken += 1
+            if table is top:
+                table, taken, top_given, given = commands.get(token), 0, given, {}
+                if table is None:
+                    return None
+        else:
+            name, eq, text = token.partition("=")
+            action = table.options.get(name)
+            if action is None or action in given:
+                return None
+            if not eq:
+                if i == len(argv) or argv[i][:1] == "-":
+                    return None
+                text = argv[i]
+                i += 1
+            given[action] = text
+    if table is top:
+        return None
+    parts = ((top, top_given), (table, given))
+    if any(a not in values for t, values in parts for a in t.required):
+        return None
+    namespace = {}
+    for t, values in parts:  # the subparser's namespace overrides the top one's
+        namespace.update(t.defaults)
+        for action, text in values.items():  # converted in argv order, as argparse does
+            namespace[action.dest] = value = _value(action, text)
+            if value is _REFUSED:
+                return None
+        for action in t.typed:
+            if action not in values:
+                namespace[action.dest] = value = _value(action, action.default)
+                if value is _REFUSED:
+                    return None
+    return argparse.Namespace(**namespace)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """argparse's reading of argv.  CPython 3.11 drops a ``--`` and then hands an
+    action an empty list (``compose 1,1,1 -- --``, ``--surface=--``) without calling
+    its type; that is a usage error here, from the action's own parser."""
+    args = build_parser().parse_args(argv)
+    top = _tables()[0]
+    for parser in (top.parser, top.positionals[0].choices[args.command]):
+        for action in parser._actions:
+            if action.nargs is None and isinstance(getattr(args, action.dest, None), list):
+                parser.error(str(argparse.ArgumentError(action, "expected one argument")))
+    return args
+
+
 class CheckFailed(Exception):
     """A law disagreed with the line-cubic oracle in ``check``."""
 
@@ -368,7 +500,10 @@ HANDLERS = {
 
 
 def run(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        args = _parse_args(argv)
     args.surface = SURFACES[args.surface]
     try:
         out = HANDLERS[args.command](args)

@@ -7,7 +7,8 @@ arities.  Sizes stay small (r <= 40, depth <= 4, max-component <= 200,
 pairs <= 30) so that the whole corpus runs in a few seconds.  After the
 seeded argv come points at infinity on one Markov frame per surface with
 n0 up to 195025, which trial division to the cube root makes affordable,
-and b_5000(3), whose 4,744 digits are past the limit of str() on ints.
+b_5000(3), whose 4,744 digits are past the limit of str() on ints, and a
+fixed list of argv-shape edge cases on one valid argv per subcommand.
 """
 import contextlib
 import io
@@ -29,6 +30,80 @@ MARKOV_FRAMES = {
     "fricke": ["2,195025,33461", "5,6466,433", "29,433,5", "1,89,34"],
     "double": ["25,187489,841", "1,7921,1156", "4,841,25"],
 }
+
+
+# one valid argv per subcommand: (command, its options as (name, value), positionals)
+PLAIN = [
+    ("compose", [("--surface", "fricke"), ("--sigma", "0")], ["2,1,1", "1,2,5"]),
+    ("star", [], ["2,1,1", "1,2,5"]),
+    ("tree", [("--surface", "double"), ("--root", "1,1,1"), ("--depth", "2"), ("--max-component", "90")], []),
+    ("frobenius", [("--max-component", "100")], []),
+    ("negative-tree", [("--n", "2"), ("--depth", "1")], []),
+    ("section-add", [("--surface", "fricke"), ("--frame", "1,1,1")], ["2,1", "1,2"]),
+    ("section-double", [("--surface", "fricke"), ("--frame", "1,1,1")], ["1,2"]),
+    ("section-inverse", [("--surface", "double"), ("--frame", "1,1,1")], ["1,4"]),
+    ("dihedral", [("--frame", "1,1,1"), ("--map", "TA")], ["1,1"]),
+    ("ta-power", [("--frame", "1,1,1"), ("--r", "3"), ("--family", "TC")], ["1,1"]),
+    ("chebyshev", [("--r", "4"), ("--n0", "3/2")], []),
+    ("infinity", [("--surface", "fricke"), ("--frame", "1,2,5")], []),
+    ("convergent", [("--r", "3"), ("--frame", "1,2,5")], []),
+    ("param", [("--surface", "double")], ["1", "2"]),
+    ("phi", [("--surface", "fricke")], ["[1:1:2]"]),
+    ("psi", [("--surface", "fricke")], ["[1:1:2:1]"]),
+    ("p2-viete", [("--surface", "fricke"), ("--generator", "R")], ["[1:1:1]"]),
+    ("p2-compose", [("--surface", "double")], ["[2:1:1]", "[1:2:5]"]),
+    ("check", [("--seed", "7"), ("--pairs", "3")], []),
+]
+
+# a trailing `--` that leaves the last positional empty: a traceback before, now exit 2
+EMPTIED = [
+    ["compose", "1,1,1", "--", "--"],
+    ["star", "--", "1,1,1", "--"],
+    ["param", "1", "--", "--"],
+    ["section-add", "--frame", "1,1,1", "--", "1,1", "--"],
+    ["p2-compose", "--", "[1:1:1]", "--"],
+]
+
+
+def edge_argv() -> list[list[str]]:
+    """Shape edge cases of each PLAIN argv: `--` at each position, twice and as the
+    last token; a repeated, an abbreviated and an `=`-joined option, also empty;
+    negative and empty values; -h and --format after the subcommand."""
+    corpus = []
+    for command, options, positionals in PLAIN:
+        flat = [token for option in options for token in option]
+        argv = [command, *flat, *positionals]
+        rest = argv[1:]
+        for k in range(1, len(argv) + 1):
+            corpus.append(argv[:k] + ["--"] + argv[k:])
+            corpus.append(argv[:k] + ["--"] + argv[k:] + ["--"])
+            corpus.append(argv[:k] + ["--", "--"] + argv[k:])
+        for j, (name, value) in enumerate(options):
+            others = [token for option in options[:j] + options[j + 1:] for token in option]
+            abbreviated = name[:5] if len(name) > 5 else name[:-1]
+            corpus += [
+                [command, name, value, *flat, *positionals],
+                [command, name, "1/0", *flat, *positionals],  # argparse reads both values
+                [command, abbreviated, value, *others, *positionals],
+                [command, f"{name}={value}", *others, *positionals],
+                [command, f"{name}=", *others, *positionals],
+                [command, name, "-4", *others, *positionals],
+                [command, name, "-" + value, *others, *positionals],
+                [command, f"{name}=-4", *others, *positionals],
+                [command, name, "", *others, *positionals],
+            ]
+        for j, positional in enumerate(positionals):
+            negative = positionals[:j] + ["-" + positional] + positionals[j + 1:]
+            corpus += [[command, *flat, *negative], [command, *flat, "--", *negative]]
+        corpus += [
+            [command, "-h", *rest],
+            [command, "", *rest],
+            [*argv, ""],
+            [command, "--format", "plain", *rest],
+            [*argv, "--format=dot"],
+            ["--format=plain", *argv],
+        ]
+    return corpus + EMPTIED
 
 
 def number(rng: random.Random) -> str:
@@ -160,7 +235,7 @@ def fuzz_argv(seed: int = SEED, count: int = COUNT) -> list[list[str]]:
         frame = rng.choice(MARKOV_FRAMES[surface])
         corpus.append(["infinity", "--surface", surface, f"--frame={frame}"])
     corpus.append(["chebyshev", "--r", "5000", "--n0", "3"])  # past str()'s 4300 digits
-    return corpus
+    return corpus + edge_argv()
 
 
 def exit_code(argv: list[str]) -> tuple[int, str]:
@@ -171,6 +246,13 @@ def exit_code(argv: list[str]) -> tuple[int, str]:
         except SystemExit as exc:
             code = exc.code
     return code, err.getvalue()
+
+
+def test_edge_cases_cover_every_subcommand():
+    assert {command for command, *_ in PLAIN} == set(HANDLERS)
+    for command, options, positionals in PLAIN:  # each base argv is valid
+        flat = [token for option in options for token in option]
+        assert exit_code([command, *flat, *positionals]) == (0, ""), command
 
 
 def test_corpus_covers_every_subcommand_surface_and_format():
