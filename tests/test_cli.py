@@ -338,6 +338,22 @@ class TestExitContract:
         assert code == 2 and out == ""
         assert err.endswith(f": error: {message}\n") and "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["compose", "1,1,1", "--", "--"], "frickelab compose: error: argument q: expected one argument"),
+            (["param", "1", "--", "--"], "frickelab param: error: argument Q: expected one argument"),
+            # the value after `=` is the `--` that argparse drops; --sigma=-- printed an answer
+            (["compose", "--sigma=--", "1,1,1", "1,1,2"], "frickelab compose: error: argument --sigma: expected one argument"),
+            (["infinity", "--surface=--", "--frame", "1,1,1"], "frickelab infinity: error: argument --surface: expected one argument"),
+            (["--format=--", "tree", "--depth", "1"], "frickelab: error: argument --format: expected one argument"),
+        ],
+    )
+    def test_an_emptied_value_is_a_usage_error(self, capsys, argv, message):
+        code, out, err = invoke_usage(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.endswith(f"\n{message}\n") and "Traceback" not in err
+
     def test_sigma_composition(self, capsys):
         payload = invoke_json(capsys, "compose", "--sigma", "-4", "1,2,3", "3,1,2")
         assert payload == {"result": ["10", "-5/2", "-3/2"]}

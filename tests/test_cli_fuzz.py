@@ -67,8 +67,8 @@ EMPTIED = [
 
 def edge_argv() -> list[list[str]]:
     """Shape edge cases of each PLAIN argv: `--` at each position, twice and as the
-    last token; a repeated, an abbreviated and an `=`-joined option, also empty;
-    negative and empty values; -h and --format after the subcommand."""
+    last token; a repeated, an abbreviated and an `=`-joined option, also empty or
+    `--`; negative and empty values; -h and --format after the subcommand."""
     corpus = []
     for command, options, positionals in PLAIN:
         flat = [token for option in options for token in option]
@@ -87,6 +87,7 @@ def edge_argv() -> list[list[str]]:
                 [command, abbreviated, value, *others, *positionals],
                 [command, f"{name}={value}", *others, *positionals],
                 [command, f"{name}=", *others, *positionals],
+                [command, f"{name}=--", *others, *positionals],  # argparse drops the `--`
                 [command, name, "-4", *others, *positionals],
                 [command, name, "-" + value, *others, *positionals],
                 [command, f"{name}=-4", *others, *positionals],
