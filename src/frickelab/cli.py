@@ -260,10 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 class _Table(NamedTuple):
-    """One parser as the direct reader reads it.  Every action of the parser but
-    --help stores one value (tests/test_cli_reader.py holds it to that)."""
+    """One parser as the direct reader reads it.  Every action of a subcommand's
+    parser but --help stores one value (tests/test_cli_reader.py holds it to that);
+    the top parser's one positional is the subcommand."""
 
-    parser: argparse.ArgumentParser
     options: dict[str, argparse.Action]  # option string -> its action
     positionals: tuple[argparse.Action, ...]  # in argv order
     required: tuple[argparse.Action, ...]
@@ -277,7 +277,6 @@ def _table(parser: argparse.ArgumentParser) -> _Table:
     for dest, default in [(a.dest, a.default) for a in actions] + list(parser._defaults.items()):
         defaults.setdefault(dest, default)
     return _Table(
-        parser,
         {s: a for a in actions for s in a.option_strings},
         tuple(a for a in actions if not a.option_strings),
         tuple(a for a in actions if a.required),
@@ -373,9 +372,9 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     """argparse's reading of argv.  CPython 3.11 drops a ``--`` and then hands an
     action an empty list (``compose 1,1,1 -- --``, ``--surface=--``) without calling
     its type; that is a usage error here, from the action's own parser."""
-    args = build_parser().parse_args(argv)
-    top = _tables()[0]
-    for parser in (top.parser, top.positionals[0].choices[args.command]):
+    top = build_parser()
+    args = top.parse_args(argv)
+    for parser in (top, _tables()[0].positionals[0].choices[args.command]):
         for action in parser._actions:
             if action.nargs is None and isinstance(getattr(args, action.dest, None), list):
                 parser.error(str(argparse.ArgumentError(action, "expected one argument")))

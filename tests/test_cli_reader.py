@@ -142,7 +142,6 @@ def test_tables_are_the_parsers_actions():
         # the reader's premise: each action stores one value, and no two exclude each other
         assert all(type(a) is argparse._StoreAction and a.nargs is None for a in actions), name
         assert not sub._mutually_exclusive_groups
-        assert table.parser is sub
         assert table.options == {s: a for s, a in sub._option_string_actions.items() if a in actions}
         assert table.positionals == tuple(a for a in actions if not a.option_strings)
         assert table.required == tuple(a for a in actions if a.required)
