@@ -17,7 +17,6 @@ import random
 import sys
 from dataclasses import replace
 from fractions import Fraction
-from typing import NamedTuple
 
 from . import double_fricke as df
 from . import fricke, sections, tree
@@ -259,38 +258,31 @@ def build_parser() -> argparse.ArgumentParser:
 # writes --help, usage and errors.
 
 
-class _Table(NamedTuple):
+class _Table:
     """One parser as the direct reader reads it.  Every action of a subcommand's
     parser but --help stores one value (tests/test_cli_reader.py holds it to that);
     the top parser's one positional is the subcommand."""
 
-    options: dict[str, argparse.Action]  # option string -> its action
-    positionals: tuple[argparse.Action, ...]  # in argv order
-    required: tuple[argparse.Action, ...]
-    defaults: dict[str, object]  # dest -> default, then set_defaults(), as argparse sets them
-    typed: tuple[argparse.Action, ...]  # string defaults that argparse converts by type
+    __slots__ = ("options", "positionals", "required", "defaults", "typed")
 
-
-def _table(parser: argparse.ArgumentParser) -> _Table:
-    actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
-    defaults = {}
-    for dest, default in [(a.dest, a.default) for a in actions] + list(parser._defaults.items()):
-        defaults.setdefault(dest, default)
-    return _Table(
-        {s: a for a in actions for s in a.option_strings},
-        tuple(a for a in actions if not a.option_strings),
-        tuple(a for a in actions if a.required),
-        defaults,
-        tuple(a for a in actions if isinstance(a.default, str) and a.type is not None),
-    )
+    def __init__(self, parser: argparse.ArgumentParser):
+        actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
+        self.options = {s: a for a in actions for s in a.option_strings}
+        self.positionals = tuple(a for a in actions if not a.option_strings)  # in argv order
+        self.required = tuple(a for a in actions if a.required)
+        self.defaults = {}  # dest -> default, then set_defaults(), as argparse sets them
+        for dest, default in [(a.dest, a.default) for a in actions] + list(parser._defaults.items()):
+            self.defaults.setdefault(dest, default)
+        # string defaults, which argparse converts by the action's type
+        self.typed = tuple(a for a in actions if isinstance(a.default, str) and a.type is not None)
 
 
 @functools.cache
 def _tables() -> tuple[_Table, dict[str, _Table]]:
     """The top parser's table, whose one positional is the subcommand, and each
     subcommand's table by name."""
-    top = _table(build_parser())
-    return top, {name: _table(p) for name, p in top.positionals[0].choices.items()}
+    top = _Table(build_parser())
+    return top, {name: _Table(p) for name, p in top.positionals[0].choices.items()}
 
 
 _REFUSED = object()
