@@ -14,6 +14,7 @@ import argparse
 import functools
 import json
 import random
+import re
 import sys
 from dataclasses import replace
 from fractions import Fraction
@@ -35,6 +36,11 @@ from .exact import (
     parse_projective,
     parse_rational,
 )
+
+
+# A token that starts like a negative number is a value, never an option: argparse's
+# own rule, which takes "-4" and "-.5", widened to "-1/2" and "-1,-1,1".
+_NEGATIVE = re.compile(r"-\.?[0-9]")
 
 
 def _reader(parse):
@@ -247,116 +253,84 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=_integer, default=0)
     p.add_argument("--pairs", type=_positive_int, default=50)
 
+    for parser in (top, *sub.choices.values()):
+        parser._negative_number_matcher = _NEGATIVE
     return top
 
 
 # -- the direct reader: an argv of plain shape read from the parser's own actions --
-# argparse spends most of a small run on its general machinery (the pass that hands
-# the argv to the subparser, nargs patterns, prefix matching).  For a plain argv the
-# reader below builds the same Namespace from build_parser()'s actions alone; every
-# other argv, and every value a type or choices refuse, goes to argparse, which alone
-# writes --help, usage and errors.
-
-
-class _Table:
-    """One parser as the direct reader reads it.  Every action of a subcommand's
-    parser but --help stores one value (tests/test_cli_reader.py holds it to that);
-    the top parser's one positional is the subcommand."""
-
-    __slots__ = ("options", "positionals", "required", "defaults", "typed")
-
-    def __init__(self, parser: argparse.ArgumentParser):
-        actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
-        self.options = {s: a for a in actions for s in a.option_strings}
-        self.positionals = tuple(a for a in actions if not a.option_strings)  # in argv order
-        self.required = tuple(a for a in actions if a.required)
-        self.defaults = {}  # dest -> default, then set_defaults(), as argparse sets them
-        for dest, default in [(a.dest, a.default) for a in actions] + list(parser._defaults.items()):
-            self.defaults.setdefault(dest, default)
-        # string defaults, which argparse converts by the action's type
-        self.typed = tuple(a for a in actions if isinstance(a.default, str) and a.type is not None)
+# It skips argparse's general machinery (the pass to the subparser, nargs patterns,
+# prefix matching); any other argv, and any value its type or choices refuse, goes
+# to argparse, which alone writes --help, usage and errors.
 
 
 @functools.cache
-def _tables() -> tuple[_Table, dict[str, _Table]]:
-    """The top parser's table, whose one positional is the subcommand, and each
-    subcommand's table by name."""
-    top = _Table(build_parser())
-    return top, {name: _Table(p) for name, p in top.positionals[0].choices.items()}
+def _tables() -> dict:
+    """Each parser as the direct reader reads it, by subcommand name and under None the
+    top parser: (parser, options by string, positionals in argv order, defaults).  Every
+    action but --help stores one value, and the top parser's one positional is the
+    subcommand (tests/test_cli_reader.py holds the parser to that)."""
 
+    def table(parser: argparse.ArgumentParser) -> tuple:
+        actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
+        defaults = {**parser._defaults, **{a.dest: a.default for a in actions}}  # as in argparse
+        options = {s: a for a in actions for s in a.option_strings}
+        return parser, options, tuple(a for a in actions if not a.option_strings), defaults
 
-_REFUSED = object()
-
-
-def _value(action: argparse.Action, text: str):
-    """``text`` through the action's type and choices as argparse reads it, or
-    _REFUSED where argparse reports a usage error."""
-    try:
-        value = text if action.type is None else action.type(text)
-    except (argparse.ArgumentTypeError, TypeError, ValueError):  # as in argparse's _get_value
-        return _REFUSED
-    if action.choices is not None and value not in action.choices:
-        return _REFUSED
-    return value
+    top = table(build_parser())
+    return {None: top, **{name: table(p) for name, p in top[2][0].choices.items()}}
 
 
 def _read_plain(argv: list[str]) -> argparse.Namespace | None:
     """build_parser().parse_args(argv) for an argv of plain shape, else None.
 
-    Plain: an optional ``--format``, the subcommand, exact long options each given
-    once as ``--opt=value`` or as ``--opt value`` with a value that does not start
-    with "-", at most one ``--`` and only positionals after it (at least one),
-    every positional and every required option present, and every value accepted
-    by its type and choices.  The shape is checked in full before any value is
-    converted: an argv of another shape falls back before any conversion, and one
-    with a refused value pays the conversions up to that value twice."""
-    top, commands = _tables()
-    given: dict[argparse.Action, str] = {}  # the current parser's, in argv order
-    table, taken, dashed, i = top, 0, False, 0
+    Plain: an optional ``--format``, the subcommand, exact long options each given once
+    as ``--opt=value`` or ``--opt value``, at most one ``--`` with only (and at least
+    one) positionals after it, every positional and required option present, and every
+    value accepted by its type and choices, starting with "-" only as a negative number
+    does (_NEGATIVE); each is converted where it is read, in argv order as in argparse."""
+    tables = _tables()
+    _, options, positionals, defaults = tables[None]
+    (command,) = positionals
+    namespace, given, taken, dashed, i = dict(defaults), set(), 0, False, 0
     while i < len(argv):
         token = argv[i]
         i += 1
         if token == "--":
-            if dashed or table is top or i == len(argv):
+            if dashed or namespace["command"] is None or i == len(argv):
                 return None
             dashed = True
-        elif dashed or token[:1] != "-":
-            if taken == len(table.positionals):
+            continue
+        if dashed or token[:1] != "-" or _NEGATIVE.match(token):
+            if taken == len(positionals):
                 return None
-            given[table.positionals[taken]] = token
+            action, text = positionals[taken], token
             taken += 1
-            if table is top:
-                table, taken, top_given, given = commands.get(token), 0, given, {}
-                if table is None:
-                    return None
         else:
             name, eq, text = token.partition("=")
-            action = table.options.get(name)
+            action = options.get(name)
             if action is None or action in given:
                 return None
+            given.add(action)
             if not eq:
-                if i == len(argv) or argv[i][:1] == "-":
+                if i == len(argv) or argv[i][:1] == "-" and not _NEGATIVE.match(argv[i]):
                     return None
                 text = argv[i]
                 i += 1
-            given[action] = text
-    if table is top:
+        try:
+            value = text if action.type is None else action.type(text)
+        except (argparse.ArgumentTypeError, TypeError, ValueError):  # as in argparse's _get_value
+            return None
+        if action.choices is not None and value not in action.choices:
+            return None
+        namespace[action.dest] = value
+        if action is command:  # read on by the subcommand's own table
+            _, options, positionals, defaults = tables[value]
+            namespace.update(defaults)
+            taken = 0
+    # the subcommand's positionals and required options; before it, the subcommand itself
+    if taken < len(positionals) or any(a.required and a not in given for a in options.values()):
         return None
-    parts = ((top, top_given), (table, given))
-    if any(a not in values for t, values in parts for a in t.required):
-        return None
-    namespace = {}
-    for t, values in parts:  # the subparser's namespace overrides the top one's
-        namespace.update(t.defaults)
-        for action, text in values.items():  # converted in argv order, as argparse does
-            namespace[action.dest] = value = _value(action, text)
-            if value is _REFUSED:
-                return None
-        for action in t.typed:
-            if action not in values:
-                namespace[action.dest] = value = _value(action, action.default)
-                if value is _REFUSED:
-                    return None
     return argparse.Namespace(**namespace)
 
 
@@ -366,7 +340,7 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     its type; that is a usage error here, from the action's own parser."""
     top = build_parser()
     args = top.parse_args(argv)
-    for parser in (top, _tables()[0].positionals[0].choices[args.command]):
+    for parser in (top, _tables()[args.command][0]):
         for action in parser._actions:
             if action.nargs is None and isinstance(getattr(args, action.dest, None), list):
                 parser.error(str(argparse.ArgumentError(action, "expected one argument")))

@@ -222,7 +222,8 @@ class TestPlainFormat:
 # stdout and exit code of --format plain and dot for the subcommands the golden
 # corpus covers in JSON only, recorded before the handlers took one shape; then
 # argv whose trailing `--` leaves the last positional empty, which ended in a
-# traceback (exit 1) and are usage errors (exit 2)
+# traceback (exit 1) and are usage errors (exit 2); last, values that start like a
+# negative number, which were read as unknown options (exit 2)
 PINNED = [
     (('--format', 'plain', 'compose', '2,1,1', '1,2,5'), 0, "['15/4', '-3/4', '-6']\n"),
     (('--format', 'plain', 'compose', '1,1,2', '1,2,5'), 0, "{'result': 'infinite', 'point': '[0:1:3:0]'}\n"),
@@ -255,6 +256,9 @@ PINNED = [
     (('param', '1', '--', '--'), 2, ''),
     (('section-add', '--frame', '1,1,1', '--', '1,1', '--'), 2, ''),
     (('p2-compose', '--', '[1:1:1]', '--'), 2, ''),
+    (('compose', '-1,-1,1', '1,2,5'), 0, '{"result": ["-37/36", "-25/24", "17/18"]}\n'),
+    (('chebyshev', '--r', '3', '--n0', '-1/2'), 0, '{"result": "-3/8"}\n'),
+    (('compose', '-2,1,1', '1,2,5'), 1, ''),
 ]
 
 

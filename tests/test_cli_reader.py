@@ -99,15 +99,35 @@ def test_reader_agrees_with_argparse(source):
     assert read > 0
 
 
+# values that start like a negative number, given as `--opt value` and as positionals
+# without a `--`: argparse reads them as values, and so does the reader
+NEGATIVE = [
+    ["compose", "--sigma", "-4", "1,2,3", "3,1,2"],
+    ["compose", "-1,-1,1", "1,2,5"],
+    ["chebyshev", "--r", "-3", "--n0", "-1/2"],
+    ["tree", "--root", "-1,-1,1", "--depth", "-1"],
+    ["param", "--surface", "double", "-1", "-2/3"],
+    ["section-add", "--frame", "1,1,1", "-1,2", "2,-1"],
+    ["--format", "plain", "check", "--seed", "-7", "--pairs", "3"],
+]
+
+
 def test_reader_reads_every_plain_argv():
+    forms = list(NEGATIVE)
     for command, options, positionals in PLAIN:
         flat = [token for option in options for token in option]
-        forms = [[command, *flat, *positionals], ["--format", "plain", command, *positionals, *flat]]
+        forms += [[command, *flat, *positionals], ["--format", "plain", command, *positionals, *flat]]
         if positionals:
             forms.append(["--format=dot", command, *[f"{n}={v}" for n, v in options], "--", *positionals])
-        for argv in forms:
-            mine = cli._read_plain(argv)
-            assert mine is not None and mine == argparse_reads(argv), argv
+    for argv in forms:
+        mine = cli._read_plain(argv)
+        assert mine is not None and mine == argparse_reads(argv), argv
+
+
+def test_reader_reads_every_golden_argv_that_argparse_reads():
+    # the reader leaves to argparse only what argparse refuses: --help and usage errors
+    for argv in golden_argv():
+        assert (cli._read_plain(list(argv)) is None) == (argparse_reads(argv) is None), argv
 
 
 @pytest.mark.parametrize("argv", EMPTIED + [["compose", "--sigma=--", "1,1,1", "1,1,2"]])
@@ -126,27 +146,37 @@ def test_edge_cases_off_the_plain_shape_fall_back():
     for argv in edge_argv():
         if "-h" in argv or "" in argv or argv.count("--") > 1 or argv[-1] == "--":
             assert cli._read_plain(argv) is None, argv
+    # a `--` before the subcommand
+    for argv in (["--", "compose", "2,1,1", "1,2,5"], ["--format", "plain", "--", "check"]):
+        assert cli._read_plain(argv) is None, argv
 
 
 def test_tables_are_the_parsers_actions():
     parser = build_parser()
-    top, commands = cli._tables()
+    tables = cli._tables()
     (command,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(commands) == set(command.choices) == set(HANDLERS)
-    assert top.options == {"--format": parser._option_string_actions["--format"]}
-    assert top.positionals == top.required == (command,)
-    assert top.defaults == {"format": "json", "command": None, "surface": "fricke"}
+    assert set(tables) - {None} == set(command.choices) == set(HANDLERS)
+    assert tables[None] == (
+        parser,
+        {"--format": parser._option_string_actions["--format"]},
+        (command,),
+        {"format": "json", "command": None, "surface": "fricke"},
+    )
+    # the reader checks no required action of the top parser but the subcommand
+    assert [a for a in parser._actions if a.required] == [command]
     for name, sub in command.choices.items():
-        table = commands[name]
         actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
-        # the reader's premise: each action stores one value, and no two exclude each other
+        # the reader's premise: each action stores one value, no two exclude each other,
+        # and no string default has a type (argparse would convert it)
         assert all(type(a) is argparse._StoreAction and a.nargs is None for a in actions), name
         assert not sub._mutually_exclusive_groups
-        assert table.options == {s: a for s, a in sub._option_string_actions.items() if a in actions}
-        assert table.positionals == tuple(a for a in actions if not a.option_strings)
-        assert table.required == tuple(a for a in actions if a.required)
-        assert table.defaults == {a.dest: a.default for a in actions}
-        assert table.typed == ()  # no string default has a type
+        assert not [a for a in actions if isinstance(a.default, str) and a.type is not None], name
+        assert tables[name] == (
+            sub,
+            {s: a for s, a in sub._option_string_actions.items() if a in actions},
+            tuple(a for a in actions if not a.option_strings),
+            {a.dest: a.default for a in actions},
+        )
 
 
 def test_a_plain_argv_does_not_reach_argparse(monkeypatch, capsys):
