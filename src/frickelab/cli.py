@@ -30,7 +30,6 @@ from .exact import (
     Surface,
     _digits,
     format_rational,
-    line_point,
     line_third_intersection,
     parse_integer,
     parse_projective,
@@ -351,6 +350,23 @@ class CheckFailed(Exception):
     """A law disagreed with the line-cubic oracle in ``check``."""
 
 
+def _on_line(r, a, b, t: Fraction) -> bool:
+    """Whether the point r is b + t*(a - b), in integers on the stored forms (X, Y, Z)/d:
+    with t = tn/td, X_i*da*db*td == d*(B_i*da*td + tn*(A_i*db - B_i*da)) for each i.
+    Every denominator is positive, so this is exact, and it takes no gcd."""
+    A1, A2, A3, da = a.form
+    B1, B2, B3, db = b.form
+    X, Y, Z, d = r.form
+    tn, td = t.numerator, t.denominator
+    dt = da * td
+    scale = db * dt
+    return (
+        X * scale == d * (B1 * dt + tn * (A1 * db - B1 * da))
+        and Y * scale == d * (B2 * dt + tn * (A2 * db - B2 * da))
+        and Z * scale == d * (B3 * dt + tn * (A3 * db - B3 * da))
+    )
+
+
 def _run_check(seed: int, pairs: int) -> dict:
     """Randomized oracle-equivalence check on both surfaces.
 
@@ -372,17 +388,18 @@ def _run_check(seed: int, pairs: int) -> dict:
         p2, q2 = rand_rat(), rand_rat()
         if (p1, q1) == (p2, q2):
             continue
-        for surface in SURFACES.values():
-            a, b = _chart(surface, p1, q1), _chart(surface, p2, q2)
-            if a == b:  # (P, Q) and (-P, -Q) give one double-surface point
+        # the Fricke charts once per draw; the double charts are their squares
+        charts = fricke._chart_coords(p1, q1), fricke._chart_coords(p2, q2)
+        squares = [[c**2 for c in chart] for chart in charts]
+        for point, (one, two) in ((fricke.FrickePoint, charts), (df.F2Point, squares)):
+            a, b = point(*one), point(*two)
+            if a.form == b.form:  # (P, Q) and (-P, -Q) give one double-surface point
                 continue
+            surface = a.surface
             res = fricke.compose(a, b)
             oracle = line_third_intersection(a.coords, b.coords, surface.name)
             if isinstance(res, fricke.Finite):
-                ok = (
-                    oracle is not DEGENERATE_CUBIC
-                    and line_point(a.coords, b.coords, oracle.t) == res.point.coords
-                )
+                ok = oracle is not DEGENERATE_CUBIC and _on_line(res.point, a, b, oracle.t)
             else:  # Undefined never fits two distinct chart points
                 ok = isinstance(res, fricke.Infinite) and oracle is DEGENERATE_CUBIC
             if not ok:

@@ -12,7 +12,16 @@ from frickelab import canonical, generate, negative_tree
 from frickelab.cli import HANDLERS, build_parser, run
 from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, format_rational, parse_rational
 from frickelab.sections import MAX_LUCAS_BITS, chebyshev_b
-from frickelab.fricke import Finite, Infinite, Undefined
+from frickelab.double_fricke import F2Point, f2_param_affine
+from frickelab.fricke import (
+    Finite,
+    FrickePoint,
+    Infinite,
+    Undefined,
+    compose,
+    param_affine,
+    param_affine_inverse,
+)
 
 from conftest import markov_pair
 
@@ -35,6 +44,12 @@ def child_env() -> dict:
     imports it also where only pytest's own ``pythonpath`` setting reaches it."""
     src = str(Path(frickelab.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def emptied_value_message(message_313: str) -> str:
+    """The usage error of a `--opt=--` value on this interpreter: argparse empties it
+    before CPython 3.13, and from 3.13 the option's type or choices refuses `--`."""
+    return "expected one argument" if sys.version_info < (3, 13) else message_313
 
 
 def invoke_usage(capsys, *argv):
@@ -347,10 +362,11 @@ class TestExitContract:
         [
             (["compose", "1,1,1", "--", "--"], "frickelab compose: error: argument q: expected one argument"),
             (["param", "1", "--", "--"], "frickelab param: error: argument Q: expected one argument"),
-            # the value after `=` is the `--` that argparse drops; --sigma=-- printed an answer
-            (["compose", "--sigma=--", "1,1,1", "1,1,2"], "frickelab compose: error: argument --sigma: expected one argument"),
-            (["infinity", "--surface=--", "--frame", "1,1,1"], "frickelab infinity: error: argument --surface: expected one argument"),
-            (["--format=--", "tree", "--depth", "1"], "frickelab: error: argument --format: expected one argument"),
+            # the value after `=` is the `--` that argparse drops before CPython 3.13 (and
+            # --sigma=-- printed an answer); 3.13 hands it to the type or the choices
+            (["compose", "--sigma=--", "1,1,1", "1,1,2"], "frickelab compose: error: argument --sigma: " + emptied_value_message("not of the form num[/den]: '--'")),
+            (["infinity", "--surface=--", "--frame", "1,1,1"], "frickelab infinity: error: argument --surface: " + emptied_value_message("invalid choice: '--' (choose from 'fricke', 'double')")),
+            (["--format=--", "tree", "--depth", "1"], "frickelab: error: argument --format: " + emptied_value_message("invalid choice: '--' (choose from 'json', 'dot', 'plain')")),
         ],
     )
     def test_an_emptied_value_is_a_usage_error(self, capsys, argv, message):
@@ -407,6 +423,27 @@ class TestCheckCoincidentSquares:
         assert payload == {"result": "ok", "seed": 459261, "pairs-checked": 18}
 
 
+class TestCheckCharts:
+    def test_each_draw_composes_its_chart_points_on_both_surfaces(self, capsys, monkeypatch):
+        # one Fricke chart pair per draw, and on the double surface its squares,
+        # as FrickePoint and F2Point, the classes the charts return
+        calls = []
+
+        def recording(p, q):
+            calls.append((p, q))
+            return compose(p, q)
+
+        monkeypatch.setattr("frickelab.fricke.compose", recording)
+        payload = invoke_json(capsys, "check", "--seed", "7", "--pairs", "20")
+        assert payload == {"result": "ok", "seed": 7, "pairs-checked": 20}
+        assert len(calls) == 40
+        for fricke_pair, double_pair in zip(calls[::2], calls[1::2]):
+            for p, square in zip(fricke_pair, double_pair):
+                assert type(p) is FrickePoint and type(square) is F2Point
+                P, Q = param_affine_inverse(p)
+                assert p == param_affine(P, Q) and square == f2_param_affine(P, Q)
+
+
 class TestCheckMismatch:
     """A law that disagrees with the oracle fails ``check`` with exit 1."""
 
@@ -422,6 +459,21 @@ class TestCheckMismatch:
     )
     def test_wrong_law_exits_1(self, capsys, monkeypatch, wrong):
         monkeypatch.setattr("frickelab.fricke.compose", wrong)
+        code, out, err = invoke(capsys, "check", "--seed", "7", "--pairs", "20")
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: check failed on the fricke surface at the charts (")
+        assert "Traceback" not in err
+
+    def test_swapped_coordinates_exit_1(self, capsys, monkeypatch):
+        # the true result with x and y swapped: on the surface, whose equation is
+        # symmetric, but off the line through the operands
+        def swapped(p, q):
+            res = compose(p, q)
+            x, y, z = res.point.coords
+            return Finite(type(res.point)(y, x, z, res.point.surface))
+
+        monkeypatch.setattr("frickelab.fricke.compose", swapped)
         code, out, err = invoke(capsys, "check", "--seed", "7", "--pairs", "20")
         assert code == 1
         assert out == ""

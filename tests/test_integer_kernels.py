@@ -7,15 +7,16 @@ written out here, the section chord and ``tangent_slope`` against
 their slope forms and under scaling of the integer direction, the chord's
 integers against Fractions, and the fixed-arity conversion of the
 membership test against the variable-arity common denominator written out
-here; ``compose`` also against its closed form in Fractions, and the
-integer form each point, section frame and section point keeps against
-that conversion."""
+here; ``compose`` also against its closed form in Fractions, the integer
+line test of ``check`` against ``line_point``, and the integer form each
+point, section frame and section point keeps against that conversion."""
 import copy
 import dataclasses
 import decimal
 import math
 import pickle
 import random
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -62,6 +63,7 @@ from frickelab.exact import (
     common_denominator,
 )
 from frickelab import sections
+from frickelab.cli import _on_line
 from frickelab.sections import (
     DenominatorVanishes,
     _gradient,
@@ -83,6 +85,8 @@ chart_parameters = st.builds(Fraction, nonzero, st.integers(1, HEIGHT))
 surfaces = st.sampled_from([FRICKE, DOUBLE])
 CHARTS = {"fricke": param_affine, "double": f2_param_affine}
 KAPPA = {"fricke": 3, "double": 9}
+# dataclasses.replace on an init=False field: ValueError before CPython 3.13, TypeError from it
+REPLACE_INIT_FALSE_ERROR = ValueError if sys.version_info < (3, 13) else TypeError
 
 
 def assert_matches_oracle(a: SurfacePoint, b: SurfacePoint):
@@ -105,6 +109,27 @@ def test_compose_matches_oracle_on_tall_charts(surface, P1, Q1, P2, Q2):
     a, b = chart(P1, Q1), chart(P2, Q2)
     assume(a != b)
     assert_matches_oracle(a, b)
+
+
+@KERNEL_SETTINGS
+@given(surfaces, chart_parameters, chart_parameters, chart_parameters, chart_parameters, st.permutations(range(3)))
+def test_check_line_test_agrees_with_line_point(surface, P1, Q1, P2, Q2, order):
+    # check's integer test of a result against the oracle's line, on the result, on
+    # it with its coordinates permuted (still on the surface, mostly off the line),
+    # and on the operands, at the oracle's parameter and at t = 0 and t = 1
+    chart = CHARTS[surface.name]
+    a, b = chart(P1, Q1), chart(P2, Q2)
+    assume(a != b)
+    result = assert_matches_oracle(a, b)
+    assume(isinstance(result, Finite))
+    r = result.point
+    permuted = type(r)(*(r.coords[i] for i in order))
+    oracle = line_third_intersection(a.coords, b.coords, surface.name)
+    for t in (oracle.t, Fraction(0), Fraction(1)):
+        on_line = line_point(a.coords, b.coords, t)
+        for point in (r, permuted, a, b):
+            assert _on_line(point, a, b, t) == (on_line == point.coords)
+    assert _on_line(r, a, b, oracle.t) and _on_line(b, a, b, Fraction(0)) and _on_line(a, a, b, Fraction(1))
 
 
 def assert_matches_closed_form(a: SurfacePoint, b: SurfacePoint):
@@ -886,7 +911,7 @@ def test_stored_form_is_the_points_integer_form(name):
     swapped = replace(p, x=p.y, y=p.x)
     assert_form_is_canonical(swapped)
     assert swapped.form == (p.form[1], p.form[0], *p.form[2:])
-    with pytest.raises(ValueError):
+    with pytest.raises(REPLACE_INIT_FALSE_ERROR):
         replace(p, form=(0, 0, 0, 1))
 
 
@@ -1034,5 +1059,5 @@ def test_section_form_leaves_eq_hash_and_repr():
             assert type(other) is type(v) and other == v
             assert other.form == v.form
         assert replace(v).form == v.form
-        with pytest.raises(ValueError):
+        with pytest.raises(REPLACE_INIT_FALSE_ERROR):
             replace(v, form=(0, 0, 0, 1))
