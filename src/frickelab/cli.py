@@ -27,7 +27,6 @@ from .exact import (
     DomainError,
     ProjectivePoint,
     QuadraticIrrational,
-    Surface,
     _digits,
     format_rational,
     line_third_intersection,
@@ -119,19 +118,15 @@ def _compose_payload(result) -> dict:
 
 
 def _text(value, plain: bool) -> str:
-    """A payload value (str, int, dict, list or tuple) as JSON with sorted keys,
-    or if ``plain`` as its repr with dicts in insertion order; in both,
-    integers at any size, tuples as lists and integer keys as strings."""
-    if isinstance(value, int):
-        return _digits(value)
-    if isinstance(value, str):
-        return repr(value) if plain else json.dumps(value)
-    if isinstance(value, dict):
-        items = [(k if isinstance(k, str) else _digits(k), v) for k, v in value.items()]
-        if not plain:
-            items.sort(key=lambda item: item[0])
-        return "{" + ", ".join([f"{_text(k, plain)}: {_text(v, plain)}" for k, v in items]) + "}"
-    return "[" + ", ".join([_text(v, plain) for v in value]) + "]"
+    """A payload (str, int, list, or dict with str keys) as JSON with sorted keys,
+    or if ``plain`` as print writes it.  Integers print at any size: the
+    interpreter's limit on int-to-str digits is lifted for the call only."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(value) if plain else json.dumps(value, sort_keys=True)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def _emit(out, fmt: str) -> None:
@@ -152,11 +147,6 @@ def _tree_dot(nodes: list[tree.TreeNode]) -> str:
         if node.parent is not None:
             edges.append(f'  n{node.parent} -> n{i} [label="{node.via}"];')
     return "\n".join(labels + edges + ["}"])
-
-
-def _chart(surface: Surface, P: Fraction, Q: Fraction) -> fricke.SurfacePoint:
-    """The affine chart of the surface: Fricke's, or its coordinatewise square."""
-    return (df.f2_param_affine if surface.cross else fricke.param_affine)(P, Q)
 
 
 @functools.cache  # built on first use, then reused by every run in the process
@@ -416,7 +406,8 @@ def _run_check(seed: int, pairs: int) -> dict:
 
 # -- one handler per subcommand, with args.surface resolved to its record ----
 # A handler returns what its law returns; compose, star, the tree commands, frobenius
-# and check return their own payload (a dict), and tree --format dot its text (a str).
+# and check return their own payload (a dict of str, int, list and str-keyed dicts,
+# as json.dumps and print write them), and tree --format dot its text (a str).
 # ``run`` hands it to ``_emit``, which writes all of stdout.
 
 
@@ -437,12 +428,14 @@ def _tree(args) -> dict | str:
     nodes = tree.generate(root, depth=args.depth, max_component=args.max_component)
     if args.format == "dot":
         return _tree_dot(nodes)
-    return {"result": [n.triple.values for n in nodes]}
+    return {"result": [list(n.triple.values) for n in nodes]}
 
 
 def _frobenius(args) -> dict:
     report = tree.frobenius_scan(args.max_component)
-    duplicates = {key: [t.values for t in ts] for key, ts in sorted(report.duplicates.items())}
+    duplicates = {
+        _digits(key): [list(t.values) for t in ts] for key, ts in sorted(report.duplicates.items())
+    }
     return {
         "result": {
             "max-component": report.max_component,
@@ -463,7 +456,9 @@ HANDLERS = {
     "star": _star,
     "tree": _tree,
     "frobenius": _frobenius,
-    "negative-tree": lambda args: {"result": df.negative_tree(args.n, args.depth)},
+    "negative-tree": lambda args: {
+        "result": [list(t) for t in df.negative_tree(args.n, args.depth)]
+    },
     "section-add": lambda args: sections.quadric_add(*_section(args, args.p, args.q)),
     "section-double": lambda args: sections.quadric_double(*_section(args, args.p)),
     "section-inverse": lambda args: sections.quadric_inverse(*_section(args, args.p)),
@@ -472,7 +467,9 @@ HANDLERS = {
     "chebyshev": lambda args: sections.chebyshev_b(args.r, args.n0),
     "infinity": lambda args: sections.infinity_points(*_section(args)),
     "convergent": lambda args: sections.cf_convergent(*_section(args), args.r),
-    "param": lambda args: _chart(args.surface, args.P, args.Q),
+    "param": lambda args: (df.f2_param_affine if args.surface.cross else fricke.param_affine)(
+        args.P, args.Q
+    ),
     "phi": lambda args: fricke.phi(args.p, args.surface),
     "psi": lambda args: fricke.psi(args.p),
     "p2-viete": lambda args: fricke.p2_viete(args.p, args.generator, args.surface),

@@ -1,8 +1,11 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import frickelab
 from frickelab import (
     F2SectionFrame,
     F2SectionPoint,
@@ -19,6 +22,14 @@ from frickelab import (
 )
 from frickelab.double_fricke import DenominatorVanishes as F2DenominatorVanishes
 from frickelab.sections import DenominatorVanishes
+
+
+def child_env() -> dict:
+    """The environment for a child Python: this one's, with the directory that
+    holds the frickelab under test first on PYTHONPATH, so that a child process
+    imports it also where only pytest's own ``pythonpath`` setting reaches it."""
+    src = str(Path(frickelab.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 50) -> Fraction:

@@ -1,13 +1,10 @@
 import json
-import os
 import re
 import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 
-import frickelab
 from frickelab import canonical, generate, negative_tree
 from frickelab.cli import HANDLERS, build_parser, run
 from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, format_rational, parse_rational
@@ -23,7 +20,7 @@ from frickelab.fricke import (
     param_affine_inverse,
 )
 
-from conftest import markov_pair
+from conftest import child_env, markov_pair
 
 
 def invoke(capsys, *argv):
@@ -36,14 +33,6 @@ def invoke_json(capsys, *argv):
     code, out, err = invoke(capsys, *argv)
     assert code == 0, err
     return json.loads(out)
-
-
-def child_env() -> dict:
-    """The environment for a child Python: this one's, with the directory that
-    holds the frickelab under test first on PYTHONPATH, so that a child process
-    imports it also where only pytest's own ``pythonpath`` setting reaches it."""
-    src = str(Path(frickelab.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def emptied_value_message(message_313: str) -> str:

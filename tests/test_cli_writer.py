@@ -1,21 +1,28 @@
 """One writer turns every CLI payload into text: ``cli._emit``.
 
-It writes JSON with sorted keys or, under ``--format plain``, the repr of
-the same value, with integers at any size.  These tests hold it to
-``json.dumps`` and ``print`` (run with the interpreter's digit limit
-lifted), keep ``json.dumps`` at one call site in ``cli.py``, and keep
-every ``print`` to stdout in ``_emit``.
+It writes JSON with sorted keys or, under ``--format plain``, what ``print``
+writes for the same value, with integers at any size: ``cli._text`` calls
+``json.dumps`` or ``str`` with the interpreter's digit limit lifted, and
+restores the limit before it returns.  A payload therefore holds only str,
+int, list and dicts with str keys.  These tests hold the writer to
+``json.dumps`` and ``print``, keep the digit limit as ``run`` found it, keep
+``json.dumps`` at one call site in ``cli.py``, and keep every ``print`` to
+stdout in ``_emit``.
 """
 import ast
 import io
 import json
+import subprocess
 import sys
 from contextlib import contextmanager, redirect_stdout
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
-from frickelab import cli
+from frickelab import cli, fricke, tree
+
+from conftest import child_env
 
 BIG = 7 * (10**5000 - 1) // 9  # 5,000 sevens, built without str()
 
@@ -32,18 +39,9 @@ PAYLOADS = [
     {"result": [], "empty": {}},
     {"result": []},
     {"result": {}},
-    {"result": [(1, 2, 3), (BIG, -BIG, 0)]},
-    {"result": ((),)},
+    {"result": [[1, 2, 3], [BIG, -BIG, 0]]},
+    {"result": [[]]},
 ]
-
-
-def _listed(value):
-    """The value with every tuple a list: the writer prints tuples as lists."""
-    if isinstance(value, dict):
-        return {k: _listed(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_listed(v) for v in value]
-    return value
 
 
 @contextmanager
@@ -61,9 +59,8 @@ def _reference(payload, fmt: str) -> str:
     with _no_digit_limit():
         if fmt == "json":
             return json.dumps(payload, sort_keys=True) + "\n"
-        value = _listed(payload)
         buffer = io.StringIO()
-        print(value["result"] if set(value) == {"result"} else value, file=buffer)
+        print(payload["result"] if set(payload) == {"result"} else payload, file=buffer)
         return buffer.getvalue()
 
 
@@ -82,15 +79,18 @@ def test_writer_matches_json_and_print(payload, fmt):
 
 
 @pytest.mark.parametrize("fmt", ["json", "plain"])
-def test_frobenius_payload_at_any_size(fmt):
+def test_frobenius_payload_at_any_size(capsys, monkeypatch, fmt):
     # keys are printed as strings, sorted as strings in JSON (as json.dumps
-    # sorts str(key)) and in insertion order under plain
-    duplicates = {5: [(1, 2, 5), (1, 1, 5)], 10: [(1, 3, 10)], BIG: [(1, 1, BIG)]}
-    report = {"max-component": BIG, "triples": 3, "duplicates": duplicates}
+    # sorts str(key)) and in increasing order under plain
+    duplicates = {BIG: [(1, 1, BIG)], 10: [(1, 3, 10)], 5: [(1, 2, 5), (1, 1, 5)]}
+    triples = {k: [SimpleNamespace(values=t) for t in ts] for k, ts in duplicates.items()}
+    report = tree.FrobeniusReport(BIG, triples, triples)
+    monkeypatch.setattr(tree, "frobenius_scan", lambda max_component: report)
+    assert cli.run(["--format", fmt, "frobenius", "--max-component", "30"]) == 0
     with _no_digit_limit():
-        keyed = {str(k): [list(t) for t in ts] for k, ts in duplicates.items()}
-    expected = _reference({"result": {**report, "duplicates": keyed}}, fmt)
-    assert _emitted({"result": report}, fmt) == expected
+        keyed = {str(k): [list(t) for t in duplicates[k]] for k in sorted(duplicates)}
+    result = {"max-component": BIG, "triples": 3, "duplicates": keyed}
+    assert capsys.readouterr().out == _reference({"result": result}, fmt)
 
 
 @pytest.mark.parametrize("fmt", ["json", "plain"])
@@ -99,6 +99,92 @@ def test_check_echoes_a_5000_digit_seed(capsys, fmt):
     assert cli.run(["--format", fmt, "check", "--seed", seed, "--pairs", "2"]) == 0
     payload = cli._run_check(BIG, 2)
     assert capsys.readouterr().out == _reference(payload, fmt)
+
+
+@pytest.fixture
+def digit_limit():
+    """A digit limit other than the default for the test; the old one after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1234)
+    yield 1234
+    sys.set_int_max_str_digits(limit)
+
+
+SEED_ARGV = ["check", "--seed", "7" * 5000, "--pairs", "2"]
+
+
+def test_run_keeps_the_digit_limit_on_exit_0(capsys, digit_limit):
+    assert cli.run(SEED_ARGV) == 0
+    assert capsys.readouterr().out.endswith("7" * 5000 + "}\n")
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_run_keeps_the_digit_limit_on_exit_1(capsys, monkeypatch, digit_limit):
+    # check's message writes the failed composition's payload
+    monkeypatch.setattr(fricke, "compose", lambda p, q: fricke.Undefined("wrong law"))
+    assert cli.run(SEED_ARGV) == 1
+    assert '{"reason": "wrong law", "result": "undefined"}' in capsys.readouterr().err
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+class _ClosedStdout(io.StringIO):
+    def write(self, text):
+        raise OSError("stdout is closed")
+
+
+def test_run_keeps_the_digit_limit_when_print_raises(digit_limit):
+    with redirect_stdout(_ClosedStdout()), pytest.raises(OSError):
+        cli.run(SEED_ARGV)
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def test_writer_keeps_the_digit_limit_when_it_raises(digit_limit):
+    with pytest.raises(TypeError):
+        cli._text({"result": object()}, plain=False)
+    assert sys.get_int_max_str_digits() == digit_limit
+
+
+def _fibonacci(n: int) -> int:
+    a, b = 0, 1
+    for _ in range(n):
+        a, b = b, a + b
+    return a
+
+
+# (1, F(2k-1), F(2k+1)) is a Markov triple; F(3351) has 700 digits, F(3353) 701
+F, G = _fibonacci(3351), _fibonacci(3353)
+
+
+def _child(*argv: str) -> subprocess.CompletedProcess:
+    """The CLI in a child Python whose int-to-str limit is the least it takes, 640."""
+    command = [sys.executable, "-X", "int_max_str_digits=640", "-m", "frickelab.cli", *argv]
+    return subprocess.run(command, capture_output=True, text=True, env=child_env())
+
+
+@pytest.mark.parametrize(
+    "fmt, template",
+    [
+        ("json", '{{"result": [[1, {F}, {G}]]}}\n'),
+        ("plain", "[[1, {F}, {G}]]\n"),
+        ("dot", 'digraph markov {{\n  n0 [label="(1,{F},{G})"];\n}}\n'),
+    ],
+    ids=["json", "plain", "dot"],
+)
+def test_child_at_the_least_digit_limit_prints_700_digits(fmt, template):
+    with _no_digit_limit():
+        f, g = str(F), str(G)
+    assert (len(f), len(g)) == (700, 701)
+    proc = _child("--format", fmt, "tree", "--root", f"1,{f},{g}", "--depth", "0")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, template.format(F=f, G=g), "")
+
+
+def test_child_at_the_least_digit_limit_names_700_digits_in_an_error():
+    with _no_digit_limit():
+        g = str(G)
+    proc = _child("tree", "--root", f"1,1,{g}", "--depth", "0")
+    assert (proc.returncode, proc.stdout) == (1, "")
+    assert proc.stderr.startswith("error: ") and g in proc.stderr
+    assert "Traceback" not in proc.stderr
 
 
 # one argv per subcommand; only tree under --format dot returns text
@@ -136,6 +222,31 @@ def test_handlers_return_data(fmt, argv):
     args.surface = cli.SURFACES[args.surface]
     out = cli.HANDLERS[args.command](args)
     assert isinstance(out, str) == (argv[0] == "tree" and fmt == "dot")
+
+
+def _json_data(value) -> bool:
+    """Whether the value holds only str, int, list and dicts with str keys."""
+    if type(value) is dict:
+        return all(type(k) is str and _json_data(v) for k, v in value.items())
+    if type(value) is list:
+        return all(map(_json_data, value))
+    return type(value) in (str, int)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "plain"])
+@pytest.mark.parametrize("argv", SAMPLES, ids=[argv[0] for argv in SAMPLES])
+def test_payloads_hold_only_json_data(capsys, monkeypatch, fmt, argv):
+    written, text = [], cli._text
+
+    def spy(value, plain):
+        written.append(value)
+        return text(value, plain)
+
+    monkeypatch.setattr(cli, "_text", spy)
+    assert cli.run(["--format", fmt, *argv]) == 0
+    # under dot, tree's text and under plain a lone string result print as they are
+    assert len(written) == 1 if fmt == "json" else len(written) <= 1
+    assert all(map(_json_data, written))
 
 
 def _call_sites(path: Path, match) -> list[str]:
