@@ -28,6 +28,7 @@ from .exact import (
     ProjectivePoint,
     QuadraticIrrational,
     _digits,
+    _no_digit_limit,
     format_rational,
     line_third_intersection,
     parse_integer,
@@ -121,12 +122,8 @@ def _text(value, plain: bool) -> str:
     """A payload (str, int, list, or dict with str keys) as JSON with sorted keys,
     or if ``plain`` as print writes it.  Integers print at any size: the
     interpreter's limit on int-to-str digits is lifted for the call only."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
+    with _no_digit_limit():
         return str(value) if plain else json.dumps(value, sort_keys=True)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def _emit(out, fmt: str) -> None:

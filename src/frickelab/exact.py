@@ -3,15 +3,17 @@
 Everything in here is exact: arbitrary-precision rationals, primitive
 integer projective vectors, quadratic irrationals stored symbolically,
 and the line-cubic intersection oracle.  No floating point exists in
-this module (or anywhere else in the package): ``decimal.Decimal`` only
-carries integers, built exactly, across the interpreter's digit limit
-of ``str`` and ``int``.
+this module (or anywhere else in the package).  Integers cross the
+interpreter's digit limit of ``str`` and ``int`` by one path,
+``_no_digit_limit``, which lifts the limit for one conversion.
 """
 from __future__ import annotations
 
-import decimal
 import math
 import re
+import sys
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence, Union
@@ -55,20 +57,44 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
 
+_DIGIT_LIMIT_LOCK = threading.Lock()
+
+
+@contextmanager
+def _no_digit_limit():
+    """Lift the interpreter's limit on int-str conversion for the body, the
+    one place in the package that does.  The limit is saved, set to 0 and
+    restored in a ``finally``, all under one lock, so that two threads
+    converting at once cannot restore each other's limit too early or leave
+    it lifted.  The trade: the limit is one per interpreter, so a thread
+    calling plain ``str`` or ``int`` meanwhile sees it lifted too.  The lock
+    is not reentrant: the body must not enter the helper again.
+    """
+    with _DIGIT_LIMIT_LOCK:
+        limit = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+        try:
+            yield
+        finally:
+            sys.set_int_max_str_digits(limit)
+
+
 def _int(digits: str) -> int:
     """int(digits), also past the interpreter's limit on str-to-int conversion."""
     try:
         return int(digits)
-    except ValueError:  # too many digits for int(); Decimal has no such limit
-        return int(decimal.Decimal(digits))
+    except ValueError:  # too many digits for int(); only then lift the limit
+        with _no_digit_limit():
+            return int(digits)
 
 
 def _digits(n: int) -> str:
     """str(n), also past the interpreter's limit on int-to-str conversion."""
     try:
         return str(n)
-    except ValueError:  # too many digits for str(); Decimal has no such limit
-        return format(decimal.Decimal(n), "f")
+    except ValueError:  # too many digits for str(); only then lift the limit
+        with _no_digit_limit():
+            return str(n)
 
 
 def parse_rational(text: str) -> Fraction:

@@ -212,9 +212,11 @@ _TRANSFORMS = {
 
 
 # The terms of the Lucas sequence grow by about max(bits(p), bits(q)) bits per
-# index at tau = p/q.  Printing a result in decimal takes time quadratic in its
-# length: at this many bits the largest accepted r takes a second or two from
-# argv to stdout, and each doubling of the limit would about quadruple that.
+# index at tau = p/q.  On CPython 3.11, printing a result in decimal takes time
+# quadratic in its length and dominates the time from argv to stdout: at this
+# many bits the largest accepted r takes a second or two, and each doubling of
+# the limit would about quadruple that.  From 3.12, str() of a large int goes
+# through _pylong and is subquadratic, so the 3.11 time is the one that binds.
 MAX_LUCAS_BITS = 1 << 19
 
 

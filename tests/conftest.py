@@ -1,5 +1,7 @@
 import os
 import random
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from pathlib import Path
 
@@ -30,6 +32,18 @@ def child_env() -> dict:
     imports it also where only pytest's own ``pythonpath`` setting reaches it."""
     src = str(Path(frickelab.__file__).resolve().parents[1])
     return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+@contextmanager
+def no_digit_limit():
+    """The interpreter's int-str digit limit lifted for the body, for reference
+    values; written here so that no test takes it from the package under test."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def random_nonzero_rational(rng: random.Random, height: int = 50) -> Fraction:
@@ -109,3 +123,12 @@ def markov_pair(digits: int) -> tuple[int, int]:
 @pytest.fixture
 def rng() -> random.Random:
     return random.Random(20250823)
+
+
+@pytest.fixture
+def digit_limit():
+    """A digit limit other than the default for the test; the old one after it."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(1234)
+    yield 1234
+    sys.set_int_max_str_digits(limit)

@@ -14,7 +14,7 @@ import io
 import json
 import subprocess
 import sys
-from contextlib import contextmanager, redirect_stdout
+from contextlib import redirect_stdout
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +22,7 @@ import pytest
 
 from frickelab import cli, fricke, tree
 
-from conftest import child_env
+from conftest import child_env, no_digit_limit
 
 BIG = 7 * (10**5000 - 1) // 9  # 5,000 sevens, built without str()
 
@@ -44,19 +44,9 @@ PAYLOADS = [
 ]
 
 
-@contextmanager
-def _no_digit_limit():
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
-
-
 def _reference(payload, fmt: str) -> str:
     """What json.dumps, or under plain print, writes for the payload."""
-    with _no_digit_limit():
+    with no_digit_limit():
         if fmt == "json":
             return json.dumps(payload, sort_keys=True) + "\n"
         buffer = io.StringIO()
@@ -87,7 +77,7 @@ def test_frobenius_payload_at_any_size(capsys, monkeypatch, fmt):
     report = tree.FrobeniusReport(BIG, triples, triples)
     monkeypatch.setattr(tree, "frobenius_scan", lambda max_component: report)
     assert cli.run(["--format", fmt, "frobenius", "--max-component", "30"]) == 0
-    with _no_digit_limit():
+    with no_digit_limit():
         keyed = {str(k): [list(t) for t in duplicates[k]] for k in sorted(duplicates)}
     result = {"max-component": BIG, "triples": 3, "duplicates": keyed}
     assert capsys.readouterr().out == _reference({"result": result}, fmt)
@@ -99,15 +89,6 @@ def test_check_echoes_a_5000_digit_seed(capsys, fmt):
     assert cli.run(["--format", fmt, "check", "--seed", seed, "--pairs", "2"]) == 0
     payload = cli._run_check(BIG, 2)
     assert capsys.readouterr().out == _reference(payload, fmt)
-
-
-@pytest.fixture
-def digit_limit():
-    """A digit limit other than the default for the test; the old one after it."""
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(1234)
-    yield 1234
-    sys.set_int_max_str_digits(limit)
 
 
 SEED_ARGV = ["check", "--seed", "7" * 5000, "--pairs", "2"]
@@ -171,7 +152,7 @@ def _child(*argv: str) -> subprocess.CompletedProcess:
     ids=["json", "plain", "dot"],
 )
 def test_child_at_the_least_digit_limit_prints_700_digits(fmt, template):
-    with _no_digit_limit():
+    with no_digit_limit():
         f, g = str(F), str(G)
     assert (len(f), len(g)) == (700, 701)
     proc = _child("--format", fmt, "tree", "--root", f"1,{f},{g}", "--depth", "0")
@@ -179,7 +160,7 @@ def test_child_at_the_least_digit_limit_prints_700_digits(fmt, template):
 
 
 def test_child_at_the_least_digit_limit_names_700_digits_in_an_error():
-    with _no_digit_limit():
+    with no_digit_limit():
         g = str(G)
     proc = _child("tree", "--root", f"1,1,{g}", "--depth", "0")
     assert (proc.returncode, proc.stdout) == (1, "")

@@ -1,6 +1,8 @@
 import itertools
 import math
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import pytest
@@ -32,7 +34,7 @@ from frickelab.exact import (
 )
 from frickelab.sections import SectionFrame, infinity_points
 
-from conftest import markov_pair
+from conftest import markov_pair, no_digit_limit
 
 PRIMES = (1009, 7919, 104729, 1299709, 15485863)
 
@@ -115,6 +117,21 @@ class TestRationalWire:
         for q in (Fraction(big), Fraction(-big, 2**20000 + 1), Fraction(1, big)):
             assert parse_rational(format_rational(q)) == q
         assert str(ProjectivePoint((big, -1))) == f"[{format_rational(big)}:-1]"
+        # parity with str and int under a lifted limit, on both sides of 4,300 digits
+        # (10**k - 1 has k digits, 10**k and 10**k + 1 have k + 1) and far past it
+        values = [0] + [
+            sign * (10**k + d) for k in (4299, 4300, 4301, 50_000) for d in (-1, 0, 1) for sign in (1, -1)
+        ]
+        with no_digit_limit():
+            texts = [str(v) for v in values]
+            assert [int(t) for t in texts] == values
+        assert {len(t.lstrip("-")) for t in texts} == {1, 4299, 4300, 4301, 4302, 50_000, 50_001}
+        assert [format_rational(v) for v in values] == texts
+        assert [exact.parse_integer(t) for t in texts] == values
+        assert [parse_rational(t) for t in texts] == values
+        third = Fraction(-(10**50_000 + 1), 3)
+        assert parse_rational(format_rational(third)) == third
+        assert format_rational(third) == f"{texts[-1]}/3"
 
     @pytest.mark.parametrize(
         "text", ["1e3", "1.5", "1_000", "1/2", "3/1", "+-1", "١", "0x10", "", "-"]
@@ -126,6 +143,38 @@ class TestRationalWire:
     def test_integers_of_any_size(self):
         assert exact.parse_integer(" -12\n") == -12 and exact.parse_integer("+6") == 6
         assert exact.parse_integer("7" * 4400) == parse_rational("7" * 4400)
+
+    def test_conversions_past_the_limit_keep_it(self, digit_limit):
+        sevens = 7 * (10**2000 - 1) // 9  # 2,000 sevens, past the limit of 1,234
+        assert format_rational(Fraction(-sevens, 3)) == "-" + "7" * 2000 + "/3"
+        assert parse_rational("7" * 2000 + "/" + "7" * 2000) == 1
+        assert exact.parse_integer("-" + "7" * 2000) == -sevens
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    def test_the_lifted_limit_is_restored_when_the_body_raises(self, digit_limit):
+        with pytest.raises(RuntimeError), exact._no_digit_limit():
+            assert sys.get_int_max_str_digits() == 0
+            raise RuntimeError("in the body")
+        assert sys.get_int_max_str_digits() == digit_limit
+
+    def test_threads_converting_at_once_keep_the_limit(self, digit_limit):
+        # each conversion lifts the limit; one thread restoring it under another's
+        # conversion would make that one raise, and could leave the limit lifted.
+        # A short switch interval lets threads interleave between save and restore.
+        values = [Fraction(7 * (10**5000 - 1) // 9 + i, 3 + 2 * i) for i in range(40)]
+
+        def round_trip(q):
+            return parse_rational(format_rational(q))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                for _ in range(5):
+                    assert list(pool.map(round_trip, values)) == values
+        finally:
+            sys.setswitchinterval(interval)
+        assert sys.get_int_max_str_digits() == digit_limit
 
 
 class TestQuadraticIrrational:
