@@ -148,103 +148,21 @@ def _tree_dot(nodes: list[tree.TreeNode]) -> str:
 
 @functools.cache  # built on first use, then reused by every run in the process
 def build_parser() -> argparse.ArgumentParser:
+    """argparse's parser of the rows of COMMANDS; it alone writes --help, usage and errors."""
     top = argparse.ArgumentParser(prog="frickelab", description=__doc__)
-    top.add_argument("--format", choices=("json", "dot", "plain"), default="json")
-    top.set_defaults(surface="fricke")  # subcommands without --surface act on the Fricke surface
+    top.add_argument(_FORMAT[0], **_FORMAT[1])
+    top.set_defaults(**_TOP_DEFAULTS)
     sub = top.add_subparsers(dest="command", required=True)
-
-    rational = _reader(parse_rational)
-
-    def surface_opt(p):
-        p.add_argument("--surface", choices=tuple(SURFACES), default="fricke")
-
-    p = sub.add_parser("compose", help="secant composition of two surface points")
-    surface_opt(p)
-    p.add_argument("--sigma", type=rational, default=Fraction(0))
-    p.add_argument("p", type=_parse_rationals(3))
-    p.add_argument("q", type=_parse_rationals(3))
-
-    p = sub.add_parser("star", help="(1,1,1) o (p o q) on the Fricke surface")
-    p.add_argument("p", type=_parse_rationals(3))
-    p.add_argument("q", type=_parse_rationals(3))
-
-    p = sub.add_parser("tree", help="Vieta tree enumeration")
-    surface_opt(p)
-    p.add_argument("--root", type=_parse_rationals(3), default=(1, 1, 1))
-    p.add_argument("--depth", type=_integer)
-    p.add_argument("--max-component", type=_integer)
-
-    p = sub.add_parser("frobenius", help="largest-component uniqueness scan")
-    p.add_argument("--max-component", type=_integer, required=True)
-
-    p = sub.add_parser("negative-tree", help="F^2 tree from (-n, 0, n)")
-    p.add_argument("--n", type=_positive_int, default=1)
-    p.add_argument("--depth", type=_integer, required=True)
-
-    for name in ("section-add", "section-double", "section-inverse"):
-        p = sub.add_parser(name, help=f"{name.split('-')[1]} in the section group")
-        surface_opt(p)
-        p.add_argument("--frame", type=_parse_rationals(3), required=True)
-        p.add_argument("p", type=_parse_rationals(2))
-        if name == "section-add":
-            p.add_argument("q", type=_parse_rationals(2))
-
-    p = sub.add_parser("dihedral", help="A/TA/C/TC/B/T transform of a section point")
-    p.add_argument("--frame", type=_parse_rationals(3), required=True)
-    p.add_argument("--map", choices=("A", "TA", "C", "TC", "B", "T"), required=True)
-    p.add_argument("p", type=_parse_rationals(2))
-
-    p = sub.add_parser("ta-power", help="closed-form r-th power of TA or TC")
-    p.add_argument("--frame", type=_parse_rationals(3), required=True)
-    p.add_argument("--r", type=_integer, required=True)
-    p.add_argument("--family", choices=("TA", "TC"), default="TA")
-    p.add_argument("p", type=_parse_rationals(2))
-
-    p = sub.add_parser("chebyshev", help="b_r(n0)")
-    p.add_argument("--r", type=_integer, required=True)
-    p.add_argument("--n0", type=rational, required=True)
-
-    p = sub.add_parser("infinity", help="section points at infinity")
-    surface_opt(p)
-    p.add_argument("--frame", type=_parse_rationals(3), required=True)
-
-    p = sub.add_parser("convergent", help="minus-continued-fraction convergent b_r/b_{r-1}")
-    p.add_argument("--r", type=_integer, required=True)
-    p.add_argument("--frame", type=_parse_rationals(3), required=True)
-
-    p = sub.add_parser("param", help="affine chart (P,Q) -> surface point")
-    surface_opt(p)
-    p.add_argument("P", type=rational)
-    p.add_argument("Q", type=rational)
-
-    p = sub.add_parser("phi", help="plane -> projectivized surface")
-    surface_opt(p)
-    p.add_argument("p", type=_parse_p2(3))
-
-    p = sub.add_parser("psi", help="projectivized surface -> plane")
-    surface_opt(p)
-    p.add_argument("p", type=_parse_p2(4))
-
-    p = sub.add_parser("p2-viete", help="transferred Viete generator on the plane")
-    surface_opt(p)
-    p.add_argument("--generator", choices=("L", "R"), required=True)
-    p.add_argument("p", type=_parse_p2(3))
-
-    p = sub.add_parser("p2-compose", help="transferred composition on the plane")
-    surface_opt(p)
-    p.add_argument("p", type=_parse_p2(3))
-    p.add_argument("q", type=_parse_p2(3))
-
-    p = sub.add_parser("check", help="seeded randomized property check")
-    p.add_argument("--seed", type=_integer, default=0)
-    p.add_argument("--pairs", type=_positive_int, default=50)
-
+    for command, (help_, _handler, arguments) in COMMANDS.items():
+        parser = sub.add_parser(command, help=help_)
+        for name, keywords in arguments:
+            parser.add_argument(name, **keywords)
     for parser in (top, *sub.choices.values()):
         parser._negative_number_matcher = _NEGATIVE
     return top
 
 
-# -- the direct reader: an argv of plain shape read from the parser's own actions --
+# -- the direct reader: an argv of plain shape read from the rows of COMMANDS --
 # It skips argparse's general machinery (the pass to the subparser, nargs patterns,
 # prefix matching); any other argv, and any value its type or choices refuse, goes
 # to argparse, which alone writes --help, usage and errors.
@@ -253,18 +171,26 @@ def build_parser() -> argparse.ArgumentParser:
 @functools.cache
 def _tables() -> dict:
     """Each parser as the direct reader reads it, by subcommand name and under None the
-    top parser: (parser, options by string, positionals in argv order, defaults).  Every
-    action but --help stores one value, and the top parser's one positional is the
-    subcommand (tests/test_cli_reader.py holds the parser to that)."""
+    top parser, whose one positional is the subcommand: (options by string, positionals
+    in argv order, defaults).  Each argument of the rows of COMMANDS becomes the action
+    argparse would store for it (tests/test_cli_reader.py compares the two)."""
 
-    def table(parser: argparse.ArgumentParser) -> tuple:
-        actions = [a for a in parser._actions if a.default is not argparse.SUPPRESS]  # not --help
-        defaults = {**parser._defaults, **{a.dest: a.default for a in actions}}  # as in argparse
-        options = {s: a for a in actions for s in a.option_strings}
-        return parser, options, tuple(a for a in actions if not a.option_strings), defaults
+    def table(arguments, defaults: dict) -> tuple:
+        options, positionals = {}, []
+        for name, keywords in arguments:
+            strings = [name] if name.startswith("-") else []
+            dest = name.lstrip("-").replace("-", "_")
+            arg = argparse.Action(strings, dest, **{"required": not strings, **keywords})
+            defaults[dest] = arg.default
+            if strings:
+                options[name] = arg
+            else:
+                positionals.append(arg)
+        return options, tuple(positionals), defaults
 
-    top = table(build_parser())
-    return {None: top, **{name: table(p) for name, p in top[2][0].choices.items()}}
+    top = table([_FORMAT, ("command", {"choices": COMMANDS})], dict(_TOP_DEFAULTS))
+    rows = COMMANDS.items()
+    return {None: top, **{name: table(arguments, {}) for name, (_, _, arguments) in rows}}
 
 
 def _read_plain(argv: list[str]) -> argparse.Namespace | None:
@@ -276,7 +202,7 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
     value accepted by its type and choices, starting with "-" only as a negative number
     does (_NEGATIVE); each is converted where it is read, in argv order as in argparse."""
     tables = _tables()
-    _, options, positionals, defaults = tables[None]
+    options, positionals, defaults = tables[None]
     (command,) = positionals
     namespace, given, taken, dashed, i = dict(defaults), set(), 0, False, 0
     while i < len(argv):
@@ -311,7 +237,7 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
             return None
         namespace[action.dest] = value
         if action is command:  # read on by the subcommand's own table
-            _, options, positionals, defaults = tables[value]
+            options, positionals, defaults = tables[value]
             namespace.update(defaults)
             taken = 0
     # the subcommand's positionals and required options; before it, the subcommand itself
@@ -326,7 +252,8 @@ def _parse_args(argv: list[str]) -> argparse.Namespace:
     its type; that is a usage error here, from the action's own parser."""
     top = build_parser()
     args = top.parse_args(argv)
-    for parser in (top, _tables()[args.command][0]):
+    (command,) = [a for a in top._actions if a.dest == "command"]
+    for parser in (top, command.choices[args.command]):
         for action in parser._actions:
             if action.nargs is None and isinstance(getattr(args, action.dest, None), list):
                 parser.error(str(argparse.ArgumentError(action, "expected one argument")))
@@ -448,31 +375,83 @@ def _section(args, *points) -> tuple:
     return (frame, *(sections.SectionPoint(*p, frame) for p in points))
 
 
-HANDLERS = {
-    "compose": _compose,
-    "star": _star,
-    "tree": _tree,
-    "frobenius": _frobenius,
-    "negative-tree": lambda args: {
-        "result": [list(t) for t in df.negative_tree(args.n, args.depth)]
-    },
-    "section-add": lambda args: sections.quadric_add(*_section(args, args.p, args.q)),
-    "section-double": lambda args: sections.quadric_double(*_section(args, args.p)),
-    "section-inverse": lambda args: sections.quadric_inverse(*_section(args, args.p)),
-    "dihedral": lambda args: sections.dihedral(*_section(args, args.p), args.map),
-    "ta-power": lambda args: sections.ta_power(*_section(args, args.p), args.r, args.family),
-    "chebyshev": lambda args: sections.chebyshev_b(args.r, args.n0),
-    "infinity": lambda args: sections.infinity_points(*_section(args)),
-    "convergent": lambda args: sections.cf_convergent(*_section(args), args.r),
-    "param": lambda args: (df.f2_param_affine if args.surface.cross else fricke.param_affine)(
-        args.P, args.Q
-    ),
-    "phi": lambda args: fricke.phi(args.p, args.surface),
-    "psi": lambda args: fricke.psi(args.p),
-    "p2-viete": lambda args: fricke.p2_viete(args.p, args.generator, args.surface),
-    "p2-compose": lambda args: fricke.p2_compose(args.p, args.q, args.surface),
-    "check": lambda args: _run_check(args.seed, args.pairs),
+# -- one row per subcommand: its help, its handler and its arguments ---------------
+# An argument is its name and its add_argument keywords, in the order argparse lists
+# them.  build_parser hands each pair to argparse unchanged, _tables reads the same
+# pairs for the direct reader, and HANDLERS holds the rows' handlers.
+
+_INT = {"type": _integer}
+_RATIONAL = {"type": _reader(parse_rational)}
+_TRIPLE = {"type": _parse_rationals(3)}
+_PAIR = {"type": _parse_rationals(2)}
+_PLANE = {"type": _parse_p2(3)}
+_SURFACE = ("--surface", {"choices": tuple(SURFACES), "default": "fricke"})
+_FRAME = ("--frame", {**_TRIPLE, "required": True})
+_R = ("--r", {**_INT, "required": True})
+# the top parser's: --format, and the surface of every subcommand without --surface
+_FORMAT = ("--format", {"choices": ("json", "dot", "plain"), "default": "json"})
+_TOP_DEFAULTS = {"surface": "fricke"}
+
+COMMANDS = {  # name: (help, handler, arguments)
+    "compose": ("secant composition of two surface points", _compose,
+                [_SURFACE, ("--sigma", {**_RATIONAL, "default": Fraction(0)}),
+                 ("p", _TRIPLE), ("q", _TRIPLE)]),
+    "star": ("(1,1,1) o (p o q) on the Fricke surface", _star, [("p", _TRIPLE), ("q", _TRIPLE)]),
+    "tree": ("Vieta tree enumeration", _tree,
+             [_SURFACE, ("--root", {**_TRIPLE, "default": (1, 1, 1)}), ("--depth", _INT),
+              ("--max-component", _INT)]),
+    "frobenius": ("largest-component uniqueness scan", _frobenius,
+                  [("--max-component", {**_INT, "required": True})]),
+    "negative-tree": ("F^2 tree from (-n, 0, n)",
+                      lambda args: {
+                          "result": [list(t) for t in df.negative_tree(args.n, args.depth)]
+                      },
+                      [("--n", {"type": _positive_int, "default": 1}),
+                       ("--depth", {**_INT, "required": True})]),
+    "section-add": ("add in the section group",
+                    lambda args: sections.quadric_add(*_section(args, args.p, args.q)),
+                    [_SURFACE, _FRAME, ("p", _PAIR), ("q", _PAIR)]),
+    "section-double": ("double in the section group",
+                       lambda args: sections.quadric_double(*_section(args, args.p)),
+                       [_SURFACE, _FRAME, ("p", _PAIR)]),
+    "section-inverse": ("inverse in the section group",
+                        lambda args: sections.quadric_inverse(*_section(args, args.p)),
+                        [_SURFACE, _FRAME, ("p", _PAIR)]),
+    "dihedral": ("A/TA/C/TC/B/T transform of a section point",
+                 lambda args: sections.dihedral(*_section(args, args.p), args.map),
+                 [_FRAME, ("--map", {"choices": ("A", "TA", "C", "TC", "B", "T"),
+                                     "required": True}), ("p", _PAIR)]),
+    "ta-power": ("closed-form r-th power of TA or TC",
+                 lambda args: sections.ta_power(*_section(args, args.p), args.r, args.family),
+                 [_FRAME, _R, ("--family", {"choices": ("TA", "TC"), "default": "TA"}),
+                  ("p", _PAIR)]),
+    "chebyshev": ("b_r(n0)", lambda args: sections.chebyshev_b(args.r, args.n0),
+                  [_R, ("--n0", {**_RATIONAL, "required": True})]),
+    "infinity": ("section points at infinity",
+                 lambda args: sections.infinity_points(*_section(args)), [_SURFACE, _FRAME]),
+    "convergent": ("minus-continued-fraction convergent b_r/b_{r-1}",
+                   lambda args: sections.cf_convergent(*_section(args), args.r), [_R, _FRAME]),
+    "param": ("affine chart (P,Q) -> surface point",
+              lambda args: (df.f2_param_affine if args.surface.cross else fricke.param_affine)(
+                  args.P, args.Q
+              ),
+              [_SURFACE, ("P", _RATIONAL), ("Q", _RATIONAL)]),
+    "phi": ("plane -> projectivized surface", lambda args: fricke.phi(args.p, args.surface),
+            [_SURFACE, ("p", _PLANE)]),
+    "psi": ("projectivized surface -> plane", lambda args: fricke.psi(args.p),
+            [_SURFACE, ("p", {"type": _parse_p2(4)})]),
+    "p2-viete": ("transferred Viete generator on the plane",
+                 lambda args: fricke.p2_viete(args.p, args.generator, args.surface),
+                 [_SURFACE, ("--generator", {"choices": ("L", "R"), "required": True}),
+                  ("p", _PLANE)]),
+    "p2-compose": ("transferred composition on the plane",
+                   lambda args: fricke.p2_compose(args.p, args.q, args.surface),
+                   [_SURFACE, ("p", _PLANE), ("q", _PLANE)]),
+    "check": ("seeded randomized property check", lambda args: _run_check(args.seed, args.pairs),
+              [("--seed", {**_INT, "default": 0}),
+               ("--pairs", {"type": _positive_int, "default": 50})]),
 }
+HANDLERS = {name: handler for name, (_help, handler, _arguments) in COMMANDS.items()}
 
 
 def run(argv: list[str] | None = None) -> int:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from math import isqrt
 
 from .exact import (
     AT_INFINITY,
@@ -42,8 +43,6 @@ from .exact import (
     common_denominator,
     format_point,
     format_rational,
-    is_rational_square,
-    sqrt_exact,
 )
 
 
@@ -150,9 +149,13 @@ def solve_z(frame: SectionFrame, x: Rat) -> list[SectionPoint]:
     lin = beta * x + gamma
     # the constant term of the quadratic in z is the defect at z = 0
     disc = lin * lin - 4 * frame.surface.defect((x, frame.n0, 0))
-    if disc < 0 or not is_rational_square(disc):
+    if disc < 0:
         return []
-    root = sqrt_exact(disc)
+    # a rational square in lowest terms has square numerator and denominator
+    num, den = isqrt(disc.numerator), isqrt(disc.denominator)
+    if num * num != disc.numerator or den * den != disc.denominator:
+        return []
+    root = Fraction(num, den)
     if root == 0:
         return [SectionPoint(x, -lin / 2, frame)]
     return [

@@ -74,6 +74,13 @@ class TreeNode:
     parent: int | None = None  # position of the parent node in generate's list
 
 
+# The most bits, summed over the entries of every triple, that one ``generate`` may
+# return.  Time, memory and output all grow with that sum: at 2^27 bits the largest
+# accepted trees (``tree --max-component`` at 10^300, ``tree --surface double --depth
+# 16``) print in one to three seconds on CPython 3.11.
+MAX_TREE_BITS = 1 << 27
+
+
 def _children(s: Surface, t: tuple[int, int, int]):
     a, b, c = t
     yield (s.other_root(b, c, a), b, c), "x"
@@ -96,7 +103,9 @@ def generate(
     surface that is every triple of the orbit within the bound, since each
     one descends to the root without its largest entry growing.  At least
     one limit is required.  Each node records the position of the node it
-    was first reached from.
+    was first reached from.  A tree whose triples, root included, hold more
+    than MAX_TREE_BITS bits in all is refused (DomainError) as soon as it
+    passes the limit.
 
     The root is validated where it was built; its descendants are built
     by ``CanonicalTriple._vieta_child`` and not validated again.  With two
@@ -115,6 +124,7 @@ def generate(
     if not admitted(root.values):
         return []
     s = root.surface
+    bits = sum(v.bit_length() for v in root.values)
     out = [TreeNode(root, None, 0)]
     seen = {root.values}
     frontier = [0]  # positions in ``out`` of the previous level
@@ -128,6 +138,13 @@ def generate(
                 if canon in seen or not admitted(canon):
                     continue
                 seen.add(canon)
+                a, b, c = canon
+                bits += a.bit_length() + b.bit_length() + c.bit_length()
+                if bits > MAX_TREE_BITS:
+                    raise DomainError(
+                        f"the tree passes MAX_TREE_BITS = {MAX_TREE_BITS} bits in its triples:"
+                        " give a smaller depth or max_component"
+                    )
                 emitted.append((canon, label, parent))
         emitted.sort()
         frontier = list(range(len(out), len(out) + len(emitted)))

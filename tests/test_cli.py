@@ -9,6 +9,7 @@ from frickelab import canonical, generate, negative_tree
 from frickelab.cli import HANDLERS, build_parser, run
 from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, format_rational, parse_rational
 from frickelab.sections import MAX_LUCAS_BITS, chebyshev_b
+from frickelab.tree import MAX_TREE_BITS
 from frickelab.double_fricke import F2Point, f2_param_affine
 from frickelab.fricke import (
     Finite,
@@ -552,6 +553,32 @@ class TestAnySize:
     def test_huge_value_in_an_error_message(self, capsys, argv):
         code, _out, err = invoke(capsys, *argv)
         assert code == 1 and HUGE in err and "Traceback" not in err
+
+
+class TestTreeBudget:
+    """A tree past tree.MAX_TREE_BITS is refused once its triples pass the limit, so
+    each of these argv stops after at most the budget's work."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["tree", "--depth", "1000000"],
+            ["negative-tree", "--depth", "1000000"],
+            ["frobenius", "--max-component", "1" + "0" * 3999],
+        ],
+        ids=["tree", "negative-tree", "frobenius"],
+    )
+    def test_refused_past_the_budget(self, argv):
+        proc = subprocess.run(
+            [sys.executable, "-m", "frickelab.cli", *argv],
+            capture_output=True,
+            text=True,
+            timeout=60,
+            env=child_env(),
+        )
+        assert (proc.returncode, proc.stdout) == (1, "")
+        assert proc.stderr.startswith("error:") and f"MAX_TREE_BITS = {MAX_TREE_BITS}" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 def _numbers(text: str) -> list:

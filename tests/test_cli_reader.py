@@ -1,18 +1,21 @@
 """The direct argv reader against argparse.
 
-``cli._read_plain`` reads an argv of plain shape straight from the tables
-of ``build_parser()``'s actions and returns None for any other argv, which
-``run`` then hands to argparse.  Over the golden corpus, the fuzz argv with
+``cli._read_plain`` reads an argv of plain shape straight from tables built
+from ``cli.COMMANDS``, the rows that ``build_parser()`` also reads, and returns
+None for any other argv, which ``run`` then hands to argparse.  Over the golden corpus, the fuzz argv with
 their shape edge cases, and seeded random token sequences, every namespace
 the reader returns must equal the one ``build_parser().parse_args`` returns,
 and wherever argparse exits (a usage error or help) the reader must return
-None.  Its tables must be what the parser's actions declare.
+None.  Its tables must be what the parser's actions declare, and a plain argv
+must build no parser at all.
 """
 import argparse
 import contextlib
 import io
 import json
 import random
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from frickelab import cli
 from frickelab.cli import HANDLERS, build_parser
 
+from conftest import child_env
 from test_cli_fuzz import EMPTIED, PLAIN, edge_argv, fuzz_argv
 
 CORPUS = Path(__file__).parent / "golden" / "cli_corpus.jsonl"
@@ -151,32 +155,36 @@ def test_edge_cases_off_the_plain_shape_fall_back():
         assert cli._read_plain(argv) is None, argv
 
 
+def held(action) -> tuple:
+    """An argument as the reader reads it: option strings, dest, type, choices,
+    required and default."""
+    choices = None if action.choices is None else list(action.choices)
+    return action.option_strings, action.dest, action.type, choices, action.required, action.default
+
+
 def test_tables_are_the_parsers_actions():
+    # every argument the reader holds is the matching action of build_parser(), in the
+    # same order: both are read from one row per subcommand, and none is declared twice
     parser = build_parser()
     tables = cli._tables()
     (command,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
-    assert set(tables) - {None} == set(command.choices) == set(HANDLERS)
-    assert tables[None] == (
-        parser,
-        {"--format": parser._option_string_actions["--format"]},
-        (command,),
-        {"format": "json", "command": None, "surface": "fricke"},
-    )
+    assert list(command.choices) == list(HANDLERS) and set(tables) - {None} == set(HANDLERS)
     # the reader checks no required action of the top parser but the subcommand
     assert [a for a in parser._actions if a.required] == [command]
-    for name, sub in command.choices.items():
+    for name, sub in [(None, parser), *command.choices.items()]:
         actions = [a for a in sub._actions if not isinstance(a, argparse._HelpAction)]
         # the reader's premise: each action stores one value, no two exclude each other,
         # and no string default has a type (argparse would convert it)
-        assert all(type(a) is argparse._StoreAction and a.nargs is None for a in actions), name
+        stored = [a for a in actions if a is not command]
+        assert all(type(a) is argparse._StoreAction and a.nargs is None for a in stored), name
         assert not sub._mutually_exclusive_groups
         assert not [a for a in actions if isinstance(a.default, str) and a.type is not None], name
-        assert tables[name] == (
-            sub,
-            {s: a for s, a in sub._option_string_actions.items() if a in actions},
-            tuple(a for a in actions if not a.option_strings),
-            {a.dest: a.default for a in actions},
-        )
+        options, positionals, defaults = tables[name]
+        assert [(s, held(a)) for s, a in options.items()] == [
+            (s, held(a)) for a in actions for s in a.option_strings
+        ], name
+        assert [held(a) for a in positionals] == [held(a) for a in actions if not a.option_strings]
+        assert defaults == {**sub._defaults, **{a.dest: a.default for a in actions}}, name
 
 
 def test_a_plain_argv_does_not_reach_argparse(monkeypatch, capsys):
@@ -193,3 +201,40 @@ def test_a_plain_argv_does_not_reach_argparse(monkeypatch, capsys):
     with pytest.raises(SystemExit):
         cli.run(["compose", "-h"])
     assert calls == [1]
+
+
+# Counts the ArgumentParsers that one cli.run builds, in a fresh process; the count
+# goes to stderr after the run's own output.
+COUNT_PARSERS = """
+import argparse, sys
+built = []
+init = argparse.ArgumentParser.__init__
+argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)
+from frickelab import cli
+try:
+    code = cli.run(sys.argv[1:])
+except SystemExit as exc:
+    code = exc.code
+print(f"parsers built: {len(built)}", file=sys.stderr)
+sys.exit(code)
+"""
+
+
+def run_counting_parsers(*argv: str) -> tuple:
+    """(exit code, ArgumentParsers built, stdout, stderr) of cli.run(argv) in a child."""
+    command = [sys.executable, "-c", COUNT_PARSERS, *argv]
+    proc = subprocess.run(command, capture_output=True, text=True, env=child_env(), timeout=60)
+    err, _, count = proc.stderr.rpartition("parsers built: ")
+    return proc.returncode, int(count), proc.stdout, err
+
+
+def test_a_plain_argv_builds_no_parser():
+    argv = ["--format", "plain", "compose", "--surface=fricke", "--", "2,1,1", "1,2,5"]
+    assert run_counting_parsers(*argv) == (0, 0, "['15/4', '-3/4', '-6']\n", "")
+
+
+def test_help_and_usage_errors_build_the_parser():
+    code, built, out, _ = run_counting_parsers("compose", "-h")
+    assert (code, built > 0, out.startswith("usage: frickelab compose")) == (0, True, True)
+    code, built, _, err = run_counting_parsers("compose", "1/0,1,1", "1,1,1")
+    assert (code, built > 0, "zero denominator" in err) == (2, True, True), err

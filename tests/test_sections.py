@@ -140,6 +140,8 @@ class TestSolveZ:
 
     def test_no_rational_root(self):
         assert solve_z(frame(), 3) == []
+        # discriminants 16/5 and 1/20: a square numerator over a non-square denominator
+        assert solve_z(frame(), Fraction(6, 5)) == solve_z(frame(), Fraction(9, 10)) == []
 
     def test_square_root_needs_no_factoring(self, monkeypatch):
         # the discriminant at the x of n*P is a rational square of ~2x the

@@ -16,6 +16,7 @@ from frickelab import (
     fundamental_points,
     generate,
 )
+from frickelab import tree
 from frickelab.tree import NotAMarkovNumber, RootOffSurface
 
 
@@ -44,6 +45,17 @@ class TestCanonicalTriple:
 
 
 class TestGenerate:
+    @pytest.mark.parametrize("root", [MARKOV_ROOT, DOUBLE_ROOT, canonical((-2, 0, 2), DOUBLE)])
+    def test_budget_is_the_bits_of_the_triples(self, monkeypatch, root):
+        # a tree of exactly MAX_TREE_BITS bits is returned; one bit less refuses it
+        nodes = generate(root, depth=3)
+        bits = sum(v.bit_length() for node in nodes for v in node.triple.values)
+        monkeypatch.setattr(tree, "MAX_TREE_BITS", bits)
+        assert generate(root, depth=3) == nodes
+        monkeypatch.setattr(tree, "MAX_TREE_BITS", bits - 1)
+        with pytest.raises(DomainError, match=f"MAX_TREE_BITS = {bits - 1} bits"):
+            generate(root, depth=3)
+
     def test_bounded_markov_tree(self):
         nodes = generate(MARKOV_ROOT, max_component=30)
         assert {n.triple.values for n in nodes} == {
