@@ -475,6 +475,11 @@ class Surface:
     cross: int
     sigma: Fraction = Fraction(0)
 
+    @property
+    def label(self) -> str:
+        """The record's name, with its sigma when that is not 0."""
+        return f"{self.name} with sigma = {format_rational(self.sigma)}" if self.sigma else self.name
+
     def quad(self, x: Rat, y: Rat, z: Rat = 0):
         """Q(x, y, z)."""
         if self.cross:

@@ -43,11 +43,18 @@ def FrickeSurface(sigma: Rat = 0) -> Surface:
 
 @dataclass(frozen=True, slots=True)
 class SurfacePoint:
-    """An affine point validated to lie on its surface exactly.
+    """An affine point on its surface exactly.
 
     ``form`` is (X, Y, Z, d): the coordinates written as (X, Y, Z)/d over
     the lcm d of their denominators, the canonical integer form that the
     validation computes and ``compose`` reads.
+
+    Every public construction is validated by ``Surface._residual``.  Only
+    ``compose``'s finite branch and ``viete`` build points through
+    ``_remaining_root``, which skips that check: their result is the
+    remaining root of a polynomial whose other roots are points on the
+    surface (``tests/test_trusted_construction.py``).  A wrong closed form
+    there no longer raises here; the tests and ``check`` catch it.
     """
 
     x: Fraction
@@ -67,6 +74,24 @@ class SurfacePoint:
         if self.surface._residual(form):
             raise OffSurface(f"{format_point(self.coords)} is not on the surface")
         object.__setattr__(self, "form", form)
+
+    @classmethod
+    def _remaining_root(
+        cls, x: Fraction, y: Fraction, z: Fraction, surface: Surface
+    ) -> "SurfacePoint":
+        """The point of ``cls`` at the Fractions (x, y, z), with its form but
+        without ``_residual``, for the remaining root of a polynomial whose
+        other roots are points on ``surface`` (see ``compose`` and ``viete``)."""
+        point = object.__new__(cls)
+        # the setters of cls itself: on CPython 3.10 a slotted dataclass
+        # subclass declares every slot again, so a value set through the
+        # base's descriptor would read back as AttributeError
+        cls.x.__set__(point, x)
+        cls.y.__set__(point, y)
+        cls.z.__set__(point, z)
+        cls.surface.__set__(point, surface)
+        cls.form.__set__(point, _over_one_denominator((x, y, z)))
+        return point
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -123,13 +148,17 @@ def viete(p: SurfacePoint, generator: str) -> SurfacePoint:
 
     z' and x' are the other roots of Vieta's move, which does not depend on
     sigma; on every Fricke surface L is (x, 3xy-z, y) and R is (y, 3yz-x, z).
+    With two coordinates of p fixed, the surface equation is a monic
+    quadratic in the third with p's coordinate as one root, so the other
+    root gives a point on the surface too: the result is built by
+    ``SurfacePoint._remaining_root`` and not validated again.
     """
     s = p.surface
     x, y, z = p.coords
     if generator == "L":
-        return type(p)(x, s.other_root(x, y, z), y, s)
+        return type(p)._remaining_root(x, s.other_root(x, y, z), y, s)
     if generator == "R":
-        return type(p)(y, s.other_root(y, z, x), z, s)
+        return type(p)._remaining_root(y, s.other_root(y, z, x), z, s)
     raise ValueError(f"generator must be 'L' or 'R', got {generator!r}")
 
 
@@ -221,6 +250,12 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     with the line-cubic oracle and with the closed form in Fractions on
     sigma-shifted pairs reached by chains of Vieta moves, zero
     coordinates included.
+
+    The finite result is the third root of the line-cubic, whose other two
+    roots are the operands, points on the surface; it is built by
+    ``SurfacePoint._remaining_root`` and not validated again, so a wrong
+    closed form would pass here and is caught by those tests and by
+    ``check``, which compares every result with the oracle's line.
     """
     if p.surface != q.surface:
         raise ValueError("operands live on different surfaces")
@@ -247,7 +282,7 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
         x = Fraction((ks * (a * n * k * d1 + b * c * m * d2) - w) // (c2 * c3), ks * l2 * l3)
         y = Fraction((ks * (b * m * k * d1 + a * c * n * d2) - w) // (c1 * c3), ks * l1 * l3)
         z = Fraction((ks * (c * m * n * d1 + a * b * k * d2) - w) // (c1 * c2), ks * l1 * l2)
-        return Finite(type(p)(x, y, z, s))
+        return Finite(type(p)._remaining_root(x, y, z, s))
     # the line meets the surface again at infinity: when a = m the third
     # point is [0 : b-n : c-k : 0], and the other vanishing patterns follow
     # by the symmetry of the equation
@@ -272,7 +307,14 @@ ONE = FrickePoint(1, 1, 1)
 
 
 def star(p: FrickePoint, q: FrickePoint) -> ComposeResult:
-    """(1,1,1) o (p o q): commutative with identity (1,1,1), not associative."""
+    """(1,1,1) o (p o q): commutative with identity (1,1,1), not associative.
+
+    A law of the Fricke surface alone: operands on another surface are a
+    ValueError that names it.
+    """
+    for s in (p.surface, q.surface):
+        if s != FRICKE:
+            raise ValueError(f"star is a law of the fricke surface, not of {s.label}")
     inner = compose(p, q)
     if isinstance(inner, Undefined):
         return inner

@@ -109,6 +109,16 @@ class SectionFrame:
 
 @dataclass(frozen=True, slots=True)
 class SectionPoint:
+    """A point (x, z) of the section of its frame.
+
+    Every public construction is validated by ``Surface._residual`` on the
+    form of (x, n0, z).  Only the chord ``_second_point`` (behind add,
+    double and inverse) builds points through ``_second_root``, which skips
+    that check: its result is the second root of a quadratic whose first
+    root is a point on the section (``tests/test_trusted_construction.py``).
+    A wrong chord no longer raises here; the tests catch it.
+    """
+
     x: Fraction
     z: Fraction
     frame: SectionFrame
@@ -123,6 +133,18 @@ class SectionPoint:
         if self.frame.surface._residual(form):
             raise OffSection(f"{format_point(self.xy)} is not on the section")
         object.__setattr__(self, "form", form)
+
+    @classmethod
+    def _second_root(cls, x: Fraction, z: Fraction, frame: SectionFrame) -> "SectionPoint":
+        """The point of ``cls`` at the Fractions (x, z), with its form but
+        without ``_residual``, for the second root of a chord through a
+        point of ``frame``'s section (see ``_second_point``)."""
+        point = object.__new__(cls)
+        cls.x.__set__(point, x)  # the slots' own setters: no frozen __setattr__
+        cls.z.__set__(point, z)
+        cls.frame.__set__(point, frame)
+        cls.form.__set__(point, _over_one_denominator((x, frame.n0, z)))
+        return point
 
     @property
     def xy(self) -> tuple[Fraction, Fraction]:
@@ -355,6 +377,11 @@ def _second_point(
     (X, Z, B)/d, both coefficients times a power of d are integers.  The
     point is homogeneous of degree 2 in (u, w), so every nonzero multiple
     of a direction gives the same point.
+
+    The quadratic in t has the roots 0, the point of the form, and
+    -(C_x*u + C_z*w)/(u^2 + beta*u*w + w^2), so the second point is on the
+    section too: it is built by ``SectionPoint._second_root`` and not
+    validated again.
     """
     x, z, d, b, cx, cz = _in_integers(frame.surface, form)
     lead = d * (u * u + w * w) + b * u * w
@@ -362,7 +389,7 @@ def _second_point(
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
     lin = cx * u + cz * w
     x, z, den = x * lead - lin * u, z * lead - lin * w, d * lead
-    return SectionPoint(Fraction(x, den), Fraction(z, den), frame)
+    return SectionPoint._second_root(Fraction(x, den), Fraction(z, den), frame)
 
 
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:

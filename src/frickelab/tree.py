@@ -37,8 +37,7 @@ class CanonicalTriple:
             raise ValueError(f"{format_point(self.values)} is not sorted")
         s = self.surface
         if not s.contains(self.values):
-            where = f"{s.name} with sigma = {format_rational(s.sigma)}" if s.sigma else s.name
-            raise RootOffSurface(f"{format_point(self.values)} is not on {where}")
+            raise RootOffSurface(f"{format_point(self.values)} is not on {s.label}")
 
     @classmethod
     def _vieta_child(cls, values: tuple[int, int, int], surface: Surface) -> "CanonicalTriple":

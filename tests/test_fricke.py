@@ -204,9 +204,10 @@ class TestCompose:
         a = FrickePoint(0, Fraction(6, 5), Fraction(8, 5), surface=surf)
         b = FrickePoint(2, 0, 0, surface=surf)
         r = compose(a, b)
-        # membership of the result is enforced by the point constructor
+        # the result is built without validation: check its membership here
         assert isinstance(r, Finite)
         assert r.point.surface == surf
+        assert surf.contains(r.point.coords)
 
     def test_alternative_factored_form(self, rng):
         done = 0
@@ -249,6 +250,21 @@ class TestStar:
 
     def test_propagates_undefined(self):
         assert isinstance(star(P(1, 1, 2), P(1, 1, 2)), Undefined)
+
+    @pytest.mark.parametrize(
+        "p, q, where",
+        [
+            # composable pairs of one surface, a coincident pair, and a mixed pair
+            (P(1, 1, 1, DOUBLE), P(4, 1, 1, DOUBLE), "double"),
+            (P(1, 2, 3, FrickeSurface(-4)), P(2, 3, 1, FrickeSurface(-4)), "fricke with sigma = -4"),
+            (P(4, 1, 1, DOUBLE), P(4, 1, 1, DOUBLE), "double"),
+            (P(2, 1, 1), P(4, 1, 1, DOUBLE), "double"),
+        ],
+        ids=["double", "fricke-sigma-4", "double-coincident", "mixed"],
+    )
+    def test_other_surfaces_are_named_before_composing(self, p, q, where):
+        with pytest.raises(ValueError, match=f"^star is a law of the fricke surface, not of {where}$"):
+            star(p, q)
 
 
 class TestPlaneTransfers:

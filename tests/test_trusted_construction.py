@@ -1,37 +1,56 @@
 """Values built without re-validation, and the rule that keeps them few.
 
 ``tree.generate`` builds the Vieta children of a validated root through
-``CanonicalTriple._vieta_child``, and the shared-radicand arithmetic of
+``CanonicalTriple._vieta_child``, the shared-radicand arithmetic of
 ``exact`` builds quadratic irrationals through
-``QuadraticIrrational._squarefree``; neither runs ``__post_init__``.  These
-tests hold both to the validating constructors, and an AST scan keeps their
-call sites where a law guarantees the skipped check.
+``QuadraticIrrational._squarefree``, ``compose`` and ``viete`` build their
+results through ``SurfacePoint._remaining_root``, and the section chord
+builds its second point through ``SectionPoint._second_root``; none runs
+``__post_init__``.  These tests hold each to its validating constructor,
+and an AST scan keeps their call sites where a law guarantees the skipped
+check.
 """
 import ast
+import itertools
 import math
+import random
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import frickelab
 from frickelab import (
     DOUBLE,
     FRICKE,
     CanonicalTriple,
+    F2Point,
+    Finite,
+    FrickePoint,
     FrickeSurface,
     QuadraticIrrational,
+    SectionPoint,
+    SurfacePoint,
     canonical,
+    compose,
     f2_param_affine,
     fundamental_points,
     generate,
     make_quadratic,
+    nielsen,
     param_affine,
+    quadric_add,
+    quadric_double,
+    quadric_inverse,
+    star,
+    viete,
 )
 from frickelab.double_fricke import F2SectionFrame
-from frickelab.exact import _square_part, _squarefree_split
-from frickelab.sections import SectionFrame, infinity_points
+from frickelab.exact import OffSurface, SingularPoint, _over_one_denominator, _square_part, _squarefree_split
+from frickelab.sections import DenominatorVanishes, OffSection, SectionFrame, _second_point, infinity_points
 from frickelab.tree import RootOffSurface, TreeNode
 
 # -- trusted tree children ------------------------------------------------------
@@ -193,6 +212,224 @@ def test_shared_radicand_results_equal_validated_ones():
         assert value == rebuilt and hash(value) == hash(rebuilt)
 
 
+# -- trusted points: compose, viete and nielsen ---------------------------------
+
+TRUSTED_SETTINGS = settings(max_examples=60, derandomize=True, deadline=None)
+
+
+def assert_trusted(p: SurfacePoint) -> SurfacePoint:
+    """p is the point that the validating constructor of its class builds
+    from its coordinates, and lies on its surface."""
+    validated = type(p)(*p.coords, p.surface)
+    assert all(type(v) is Fraction for v in p.coords)
+    assert p.coords == validated.coords and p.surface is validated.surface
+    assert p == validated and hash(p) == hash(validated) and repr(p) == repr(validated)
+    assert p.form == validated.form == _over_one_denominator(p.coords)
+    assert p.surface.contains(p.coords)
+    return p
+
+
+def trusted_results(p: SurfacePoint, q: SurfacePoint):
+    """Every point that viete, nielsen and compose build from p and q, each
+    checked by ``assert_trusted``; star's too on the Fricke surface."""
+    out = []
+    for a in (p, q):
+        moved = {g: assert_trusted(viete(a, g)) for g in "LR"}
+        out.extend(moved.values())
+        if a.surface.cross:
+            for generator, g in (("first", "L"), ("second", "R")):
+                assert assert_trusted(nielsen(a, generator)) == moved[g]
+    for a, b in ((p, q), (q, p)):
+        r = compose(a, b)
+        if isinstance(r, Finite):
+            assert type(r.point) is type(a)
+            out.append(assert_trusted(r.point))
+    if p.surface == FRICKE:
+        r = star(p, q)
+        if isinstance(r, Finite):
+            out.append(assert_trusted(r.point))
+    return out
+
+
+TALL = 2**512
+tall_parameters = st.builds(Fraction, st.integers(-TALL, TALL).filter(bool), st.integers(1, TALL))
+
+
+@TRUSTED_SETTINGS
+@given(st.sampled_from([param_affine, f2_param_affine]), *[tall_parameters] * 4)
+@example(param_affine, Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 5))
+@example(f2_param_affine, Fraction(2), Fraction(1), Fraction(1, 2), Fraction(1, 5))
+def test_trusted_points_on_tall_charts(chart, P1, Q1, P2, Q2):
+    p, q = chart(P1, Q1), chart(P2, Q2)
+    assert type(p) is (FrickePoint if chart is param_affine else F2Point)
+    trusted_results(p, q)
+
+
+integral = st.integers(-50, 50)
+small_rationals = st.builds(Fraction, st.integers(-10**6, 10**6), st.integers(1, 10**6))
+PERMUTATIONS = list(itertools.permutations(range(3)))
+
+
+@TRUSTED_SETTINGS
+@given(
+    st.sampled_from([(FRICKE, FrickePoint), (DOUBLE, F2Point), (FRICKE, SurfacePoint), (DOUBLE, SurfacePoint)]),
+    st.one_of(st.lists(integral, min_size=3, max_size=3), st.lists(small_rationals, min_size=3, max_size=3)),
+    st.lists(st.tuples(st.sampled_from("LR"), st.sampled_from(PERMUTATIONS)), min_size=1, max_size=6),
+)
+@example((FRICKE, FrickePoint), [1, 2, 3], [("L", (1, 2, 0)), ("R", (0, 2, 1))])
+@example((FRICKE, FrickePoint), [Fraction(1, 2), Fraction(2, 3), 5], [("R", (2, 0, 1)), ("L", (0, 1, 2))])
+@example((DOUBLE, F2Point), [1, 2, -3], [("L", (1, 2, 0)), ("R", (0, 2, 1))])
+def test_trusted_points_on_sigma_surfaces(kind, triple, moves):
+    # the triple fixes sigma, integral for an integral triple and almost always
+    # not for a rational one; chains of Vieta moves and permutations stay on it
+    base, cls = kind
+    surface = replace(base, sigma=base.defect(triple))
+    chain = [cls(*triple, surface)]
+    for generator, order in moves:
+        moved = viete(chain[-1], generator).coords
+        chain.append(cls(*(moved[i] for i in order), surface))
+    for p, q in zip(chain, chain[1:]):
+        for r in trusted_results(p, q):
+            assert r.surface is surface and type(r) is cls
+
+
+# starts with a zero coordinate, on the double surface and on Fricke
+# surfaces with sigma = 2 and sigma = 13/36; Vieta moves keep meeting zeros
+ZERO_STARTS = [
+    F2Point(-1, 0, 1),
+    F2Point(-5, 0, 5),
+    F2Point(Fraction(-1, 4), 0, Fraction(1, 4)),
+    FrickePoint(1, 1, 0, FrickeSurface(2)),
+    FrickePoint(Fraction(1, 2), 0, Fraction(1, 3), FrickeSurface(Fraction(13, 36))),
+]
+
+
+@pytest.mark.parametrize(
+    "start", ZERO_STARTS, ids=["double-1", "double-5", "double-1/4", "fricke-sigma-2", "fricke-sigma-13/36"]
+)
+def test_trusted_points_through_zero_coordinates(start):
+    level, seen, zeros = [start], {start.coords}, 0
+    for _depth in range(3):
+        found = []
+        for p in level:
+            for order in PERMUTATIONS:
+                permuted = type(p)(*(p.coords[i] for i in order), p.surface)
+                for generator in "LR":
+                    child = assert_trusted(viete(permuted, generator))
+                    zeros += 0 in child.coords
+                    if child.coords not in seen:
+                        seen.add(child.coords)
+                        found.append(child)
+        level = found
+    assert zeros >= 10
+    points = sorted(seen, key=lambda c: (max(max(abs(v.numerator), v.denominator) for v in c), c))[:12]
+    points = [type(start)(*c, start.surface) for c in points]
+    for p, q in itertools.combinations(points, 2):
+        trusted_results(p, q)
+
+
+def test_public_point_construction_still_validates():
+    with pytest.raises(OffSurface):
+        FrickePoint(1, 1, 3)
+    with pytest.raises(OffSurface):
+        F2Point(1, 1, 2)
+    with pytest.raises(OffSurface):
+        SurfacePoint(1, 1, 1, FrickeSurface(-4))
+    with pytest.raises(OffSection):
+        SectionPoint(1, 3, SectionFrame(1, 5, 2))
+
+
+# -- trusted points: the section chord --------------------------------------------
+
+
+def assert_trusted_on_section(p: SectionPoint, frame: SectionFrame) -> SectionPoint:
+    """p is the point that the validating constructor builds on the frame,
+    and lies on its section."""
+    validated = SectionPoint(p.x, p.z, frame)
+    assert type(p) is SectionPoint and p.frame is frame
+    assert type(p.x) is Fraction and type(p.z) is Fraction
+    assert p == validated and hash(p) == hash(validated) and repr(p) == repr(validated)
+    assert p.form == validated.form == _over_one_denominator((p.x, frame.n0, p.z))
+    assert frame.contains(p.x, p.z)
+    return p
+
+
+def shifted(surface, triple, frame=SectionFrame):
+    return frame(*triple, replace(surface, sigma=surface.defect(triple)))
+
+
+CHORD_FRAMES = {
+    "fricke": SectionFrame(1, 5, 2),
+    "double": F2SectionFrame(1, 4, 25),
+    "fricke-chart": SectionFrame(*param_affine(Fraction(1, 2), Fraction(1, 3)).coords),
+    "fricke-shifted-integral": shifted(FRICKE, (2, 3, -1)),
+    "fricke-shifted": shifted(FRICKE, (Fraction(2, 3), 5, Fraction(-1, 2))),
+    "double-shifted": shifted(DOUBLE, (Fraction(1, 2), -3, Fraction(4, 7)), F2SectionFrame),
+    # beta = 0: an ellipse, on which every chord direction meets the conic again
+    "double-ellipse": F2SectionFrame(0, Fraction(2, 9), Fraction(-2, 9)),
+    # beta = -2: a parabola at n0 = 4/9 on the double surface; on a Fricke
+    # surface gamma = 0 and the section is the line pair (x - z)^2 = 4
+    "double-parabola": F2SectionFrame(Fraction(-1, 9), Fraction(4, 9), Fraction(-1, 9)),
+    "fricke-parallel-lines": shifted(FRICKE, (1, Fraction(2, 3), 3)),
+}
+
+
+def chord_results(frame, directions):
+    """The chord's points through O in the integer directions, and every sum,
+    double and inverse among them, each checked by ``assert_trusted_on_section``;
+    a chord parallel to an asymptote or a tangent at a node is skipped."""
+    points = [frame.origin]
+    for u, w in directions:
+        try:
+            p = _second_point(frame, frame.form, u, w)
+        except DenominatorVanishes:
+            continue
+        points.append(assert_trusted_on_section(p, frame))
+    results = []
+    for p in points:
+        for law, args in [(quadric_double, (p,)), (quadric_inverse, (p,))] + [
+            (quadric_add, (p, q)) for q in points[:4]
+        ]:
+            try:
+                r = law(frame, *args)
+            except (DenominatorVanishes, SingularPoint):
+                continue
+            results.append(assert_trusted_on_section(r, frame))
+    return points, results
+
+
+directions = st.lists(
+    st.tuples(st.integers(-2**64, 2**64), st.integers(-2**64, 2**64)).filter(any), min_size=1, max_size=5
+)
+
+
+@TRUSTED_SETTINGS
+@given(st.sampled_from(sorted(CHORD_FRAMES)), directions)
+def test_trusted_chord_points(name, chords):
+    frame = CHORD_FRAMES[name]
+    chord_results(frame, chords)
+
+
+@pytest.mark.parametrize("name", sorted(CHORD_FRAMES))
+def test_trusted_chord_points_in_small_directions(name):
+    frame = CHORD_FRAMES[name]
+    rng = random.Random(name)
+    chords = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(12)]
+    points, results = chord_results(frame, [c for c in chords if any(c)])
+    assert len(points) >= 8 and len(results) >= 10
+
+
+@TRUSTED_SETTINGS
+@given(
+    st.sampled_from([(FRICKE, SectionFrame), (DOUBLE, F2SectionFrame)]),
+    st.lists(small_rationals, min_size=3, max_size=3).filter(lambda t: t[1] != 0),
+    directions,
+)
+def test_trusted_chord_points_on_sigma_frames(kind, triple, chords):
+    base, frame = kind
+    chord_results(shifted(base, triple, frame), chords)
+
+
 # -- where the private constructors may be called ------------------------------
 
 SOURCES = sorted(Path(frickelab.__file__).parent.glob("*.py"))
@@ -211,6 +448,8 @@ ALLOWED = {
         ("exact.py", "__mul__"),
         ("sections.py", "infinity_points"),
     },
+    "_remaining_root": {("fricke.py", "compose"), ("fricke.py", "viete")},
+    "_second_root": {("sections.py", "_second_point")},
 }
 
 
