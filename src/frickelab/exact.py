@@ -158,9 +158,20 @@ def common_denominator(values: Sequence[Rat]) -> tuple[list[int], int]:
 def _over_one_denominator(p: Sequence[Rat]) -> tuple[int, int, int, int]:
     """(X, Y, Z, d): the three coordinates of p written as (X, Y, Z)/d, d
     the lcm of their denominators, as ``common_denominator`` gives them but
-    in fixed-arity code.  A p of another length is a ValueError."""
+    in fixed-arity code.  A p of another length is a ValueError.
+
+    Three exact Fractions are read by ``as_integer_ratio`` directly, and
+    equal denominators need no lcm.  Over any common denominator D of
+    numerators (a, b, c) the lcm is D/gcd(a, b, c, D), which is how the
+    section chord builds this form for its result without calling here.
+    """
     x, y, z = p
-    (X, dx), (Y, dy), (Z, dz) = _ratio(x), _ratio(y), _ratio(z)
+    if type(x) is type(y) is type(z) is Fraction:
+        (X, dx), (Y, dy), (Z, dz) = x.as_integer_ratio(), y.as_integer_ratio(), z.as_integer_ratio()
+    else:
+        (X, dx), (Y, dy), (Z, dz) = _ratio(x), _ratio(y), _ratio(z)
+    if dx == dy == dz:
+        return X, Y, Z, dx
     d = math.lcm(dx, dy, dz)
     return X * (d // dx), Y * (d // dy), Z * (d // dz), d
 

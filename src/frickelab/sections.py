@@ -14,8 +14,9 @@ tangent (C_z, -C_x) from the integer gradient, a positive multiple of
 the conic's), computed in integers; the chord is homogeneous of degree 2
 in the direction, so its scale does not matter.  Frames and points keep
 the integer form (x, n0, z) = (X, N, Z)/d that their validation
-computes, and the chord reads only that form.  The node of a section
-that is a line pair has no tangent: SingularPoint.  The module also
+computes; the chord reads only that form, and builds its result's form
+by one content gcd over the one denominator it holds.  The node of a
+section that is a line pair has no tangent: SingularPoint.  The module also
 covers the points at infinity, the dihedral transforms of a section (the
 frame's own Vieta moves in x and in z, the swap, and B = -1 on Fricke
 sections), and their closed forms: the powers of TA and TC, b_r and the
@@ -27,7 +28,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 from .exact import (
     AT_INFINITY,
@@ -80,7 +81,7 @@ class SectionFrame:
         if self.surface._residual(form):
             point = format_point((self.m0, self.n0, self.k0))
             raise OffSection(f"{point} is not on the surface")
-        if self.n0 == 0:
+        if form[1] == 0:
             raise OffSection("n0 = 0 degenerates the section")
         object.__setattr__(self, "form", form)
 
@@ -135,20 +136,30 @@ class SectionPoint:
         object.__setattr__(self, "form", form)
 
     @classmethod
-    def _second_root(cls, x: Fraction, z: Fraction, frame: SectionFrame) -> "SectionPoint":
-        """The point of ``cls`` at the Fractions (x, z), with its form but
-        without ``_residual``, for the second root of a chord through a
-        point of ``frame``'s section (see ``_second_point``)."""
+    def _second_root(cls, form: tuple[int, int, int, int], frame: SectionFrame) -> "SectionPoint":
+        """The point of ``frame``'s section with the canonical form
+        (X, N, Z, d), built without ``_residual`` for the second root of a
+        chord through a point of the section (see ``_second_point``): x and
+        z are Fraction(X, d) and Fraction(Z, d), and the form is kept as it
+        is.  The slots are set through SectionPoint's own setters, which is
+        the only class it is called on."""
+        x, _n, z, d = form
         point = object.__new__(cls)
-        cls.x.__set__(point, x)  # the slots' own setters: no frozen __setattr__
-        cls.z.__set__(point, z)
-        cls.frame.__set__(point, frame)
-        cls.form.__set__(point, _over_one_denominator((x, frame.n0, z)))
+        _set_x(point, Fraction(x, d))  # the slots' own setters: no frozen __setattr__
+        _set_z(point, Fraction(z, d))
+        _set_frame(point, frame)
+        _set_form(point, form)
         return point
 
     @property
     def xy(self) -> tuple[Fraction, Fraction]:
         return (self.x, self.z)
+
+
+_set_x = SectionPoint.x.__set__
+_set_z = SectionPoint.z.__set__
+_set_frame = SectionPoint.frame.__set__
+_set_form = SectionPoint.form.__set__
 
 
 def _on_frame(frame: SectionFrame, *points: SectionPoint) -> None:
@@ -381,15 +392,22 @@ def _second_point(
     The quadratic in t has the roots 0, the point of the form, and
     -(C_x*u + C_z*w)/(u^2 + beta*u*w + w^2), so the second point is on the
     section too: it is built by ``SectionPoint._second_root`` and not
-    validated again.
+    validated again.  It is (x, n0, z) = (X', N*lead, Z')/D over the one
+    denominator D = d*lead, where lead is d times the t^2 coefficient.
+    Over any common denominator the lcm of the reduced denominators is
+    D/gcd(X', N*lead, Z', D), so one content gcd g, negated when D < 0,
+    gives the canonical form (X', N*lead, Z', D)/g.
     """
     x, z, d, b, cx, cz = _in_integers(frame.surface, form)
     lead = d * (u * u + w * w) + b * u * w
     if lead == 0:
         raise DenominatorVanishes("line parallel to an asymptote; second point at infinity")
     lin = cx * u + cz * w
-    x, z, den = x * lead - lin * u, z * lead - lin * w, d * lead
-    return SectionPoint._second_root(Fraction(x, den), Fraction(z, den), frame)
+    x, n, z, den = x * lead - lin * u, form[1] * lead, z * lead - lin * w, d * lead
+    g = gcd(x, n, z, den)
+    if den < 0:
+        g = -g
+    return SectionPoint._second_root((x // g, n // g, z // g, den // g), frame)
 
 
 def tangent_slope(frame: SectionFrame, p: SectionPoint) -> Slope:

@@ -593,8 +593,10 @@ SECTION_FRAMES = {
     "fricke-shifted": shifted(FRICKE, (Fraction(2, 3), 5, Fraction(-1, 2))),
     "double-shifted": shifted(DOUBLE, (Fraction(1, 2), -3, Fraction(4, 7))),
     "fricke-ellipse": shifted(FRICKE, (1, Fraction(1, 3), 2)),
-    # beta = -2 on both: a parabola, one asymptotic direction (1, 1)
-    "fricke-parabola": shifted(FRICKE, (1, Fraction(2, 3), 3)),
+    # beta = -2 on both, one asymptotic direction (1, 1).  On a Fricke
+    # surface gamma = 0, so this section is the parallel line pair
+    # (x - z)^2 = 4; the double frame at n0 = 4/9 is a parabola
+    "fricke-parallel-lines": shifted(FRICKE, (1, Fraction(2, 3), 3)),
     "double-parabola": SectionFrame(Fraction(-1, 9), Fraction(4, 9), Fraction(-1, 9), DOUBLE),
 }
 # line pairs through a node N = (c, c), c = -gamma/(2 + beta), of slopes 2
@@ -719,7 +721,7 @@ def test_chord_kernel_is_homogeneous_in_its_direction(name):
             for scale in (-3, 2, 7):
                 assert section_outcome(_second_point, frame, p.form, scale * u, scale * w) == got
     assert "point" in seen
-    if name in LINE_PAIRS or "parabola" in name:
+    if name in LINE_PAIRS or name in ("fricke-parallel-lines", "double-parabola"):
         assert DenominatorVanishes in seen
 
 
@@ -787,9 +789,48 @@ def test_residual_matches_generic_denominator(base, sigma, triple):
     assert surface.defect(triple) == plain_defect(surface.name, triple, sigma)
 
 
+class Ratio(Fraction):
+    """A Fraction subclass, which the conversion reads through Fraction(v)."""
+
+
+fraction_values = st.builds(Fraction, small, st.integers(1, 10**6))
+# the triples that the conversion reads by as_integer_ratio directly, or
+# next to it: Fractions only, with one denominator or integral among them
+FAST_PATH_TRIPLES = {
+    "shared-denominator": shared_denominator,
+    "integral-fractions": st.lists(small.map(Fraction), min_size=3, max_size=3),
+    "fractions": st.lists(fraction_values, min_size=3, max_size=3),
+    "int-and-fraction": st.lists(st.one_of(small, fraction_values), min_size=3, max_size=3),
+    "bool-and-fraction": st.lists(st.one_of(st.booleans(), fraction_values), min_size=3, max_size=3),
+    "fraction-subclass": st.lists(st.one_of(fraction_values, fraction_values.map(Ratio)), min_size=3, max_size=3),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(FAST_PATH_TRIPLES))
+@KERNEL_SETTINGS
+@given(st.data())
+def test_fast_path_matches_generic_denominator(kind, data):
+    triple = data.draw(FAST_PATH_TRIPLES[kind])
+    ints, d = generic_common_denominator(triple)
+    converted = _over_one_denominator(triple)
+    assert converted == (*ints, d)
+    assert all(type(v) is int for v in converted)
+    assert _over_one_denominator(tuple(triple)) == converted
+
+
 @pytest.mark.parametrize("surface", [FRICKE, DOUBLE, replace(FRICKE, sigma=Fraction(-4))])
 @pytest.mark.parametrize(
-    "p", [(), (1,), (1, 1), (Fraction(1, 2), Fraction(1, 3)), (1, 1, 1, 1), (Fraction(1, 2), 1, 2, 5)]
+    "p",
+    [
+        (),
+        (1,),
+        (1, 1),
+        (Fraction(1, 2), Fraction(1, 3)),
+        (1, 1, 1, 1),
+        (Fraction(1, 2), 1, 2, 5),
+        (Fraction(1, 2), Fraction(1, 3), Fraction(1, 5), Fraction(1, 7)),
+        (Fraction(1, 2), Fraction(3, 2), Fraction(5, 2), Fraction(7, 2)),
+    ],
 )
 def test_contains_rejects_other_arities(surface, p):
     # a point has three coordinates; any other length is the plain

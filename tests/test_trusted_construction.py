@@ -8,12 +8,15 @@ results through ``SurfacePoint._remaining_root``, and the section chord
 builds its second point through ``SectionPoint._second_root``; none runs
 ``__post_init__``.  These tests hold each to its validating constructor,
 and an AST scan keeps their call sites where a law guarantees the skipped
-check.
+check.  The chord also builds its point's form by one content gcd over the
+chord's one denominator; every chord's form is held to
+``_over_one_denominator``.
 """
 import ast
 import itertools
 import math
 import random
+from contextlib import contextmanager
 from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
@@ -48,9 +51,10 @@ from frickelab import (
     star,
     viete,
 )
+from frickelab import sections
 from frickelab.double_fricke import F2SectionFrame
 from frickelab.exact import OffSurface, SingularPoint, _over_one_denominator, _square_part, _squarefree_split
-from frickelab.sections import DenominatorVanishes, OffSection, SectionFrame, _second_point, infinity_points
+from frickelab.sections import DenominatorVanishes, OffSection, SectionFrame, _in_integers, infinity_points
 from frickelab.tree import RootOffSurface, TreeNode
 
 # -- trusted tree children ------------------------------------------------------
@@ -374,28 +378,71 @@ CHORD_FRAMES = {
 }
 
 
+def chord_over_one_denominator(frame, form, u, w):
+    """(X', N*lead, Z', D): the chord's second point from the form in the
+    direction (u, w), as (x, n0, z) over the chord's one denominator
+    D = d*lead, not reduced; D < 0 where lead < 0."""
+    X, Z, d, B, cx, cz = _in_integers(frame.surface, form)
+    lead = d * (u * u + w * w) + B * u * w
+    lin = cx * u + cz * w
+    return X * lead - lin * u, form[1] * lead, Z * lead - lin * w, d * lead
+
+
+def assert_chord_form(frame, form, u, w, p):
+    """p, the chord's point from the form in the direction (u, w), is
+    (X', Z')/D, and its form is the canonical form of (x, n0, z), over a
+    positive denominator; p is checked by ``assert_trusted_on_section``.
+    Returns D."""
+    X, N, Z, D = chord_over_one_denominator(frame, form, u, w)
+    assert (p.x, p.z) == (Fraction(X, D), Fraction(Z, D))
+    assert Fraction(N, D) == frame.n0
+    assert p.form == _over_one_denominator((p.x, frame.n0, p.z))
+    assert p.form[3] > 0
+    assert_trusted_on_section(p, frame)
+    return D
+
+
+@contextmanager
+def checked_chords():
+    """Every call of the chord kernel in the body, the laws' own included,
+    checked by ``assert_chord_form``; yields the list of the chords' D."""
+    kernel, denominators = sections._second_point, []
+
+    def checked(frame, form, u, w):
+        p = kernel(frame, form, u, w)
+        denominators.append(assert_chord_form(frame, form, u, w, p))
+        return p
+
+    sections._second_point = checked
+    try:
+        yield denominators
+    finally:
+        sections._second_point = kernel
+
+
 def chord_results(frame, directions):
     """The chord's points through O in the integer directions, and every sum,
-    double and inverse among them, each checked by ``assert_trusted_on_section``;
-    a chord parallel to an asymptote or a tangent at a node is skipped."""
+    double and inverse among them, each checked by ``assert_trusted_on_section``
+    and each chord by ``assert_chord_form``; a chord parallel to an asymptote
+    or a tangent at a node is skipped.  Returns the points, the results and
+    the chords' D."""
     points = [frame.origin]
-    for u, w in directions:
-        try:
-            p = _second_point(frame, frame.form, u, w)
-        except DenominatorVanishes:
-            continue
-        points.append(assert_trusted_on_section(p, frame))
     results = []
-    for p in points:
-        for law, args in [(quadric_double, (p,)), (quadric_inverse, (p,))] + [
-            (quadric_add, (p, q)) for q in points[:4]
-        ]:
+    with checked_chords() as denominators:
+        for u, w in directions:
             try:
-                r = law(frame, *args)
-            except (DenominatorVanishes, SingularPoint):
+                points.append(sections._second_point(frame, frame.form, u, w))
+            except DenominatorVanishes:
                 continue
-            results.append(assert_trusted_on_section(r, frame))
-    return points, results
+        for p in points:
+            for law, args in [(quadric_double, (p,)), (quadric_inverse, (p,))] + [
+                (quadric_add, (p, q)) for q in points[:4]
+            ]:
+                try:
+                    results.append(law(frame, *args))
+                except (DenominatorVanishes, SingularPoint):
+                    continue
+    return points, results, denominators
 
 
 directions = st.lists(
@@ -410,13 +457,65 @@ def test_trusted_chord_points(name, chords):
     chord_results(frame, chords)
 
 
+@TRUSTED_SETTINGS
+@given(
+    st.sampled_from(sorted(CHORD_FRAMES)),
+    st.lists(st.tuples(st.integers(-2**256, 2**256), st.integers(-2**256, 2**256)).filter(any), min_size=1, max_size=3),
+)
+def test_trusted_chord_points_in_tall_directions(name, chords):
+    chord_results(CHORD_FRAMES[name], chords)
+
+
 @pytest.mark.parametrize("name", sorted(CHORD_FRAMES))
 def test_trusted_chord_points_in_small_directions(name):
     frame = CHORD_FRAMES[name]
     rng = random.Random(name)
     chords = [(rng.randint(-9, 9), rng.randint(-9, 9)) for _ in range(12)]
-    points, results = chord_results(frame, [c for c in chords if any(c)])
+    points, results, denominators = chord_results(frame, [c for c in chords if any(c)])
     assert len(points) >= 8 and len(results) >= 10
+    # D = d*lead = d^2*(u^2 + beta*u*w + w^2) takes both signs exactly on a hyperbola
+    beta, _gamma = frame.conic
+    assert (min(denominators) < 0) == (beta * beta > 4)
+
+
+# section-add argv on rational frames whose chord has lead < 0: the frame,
+# the two operands and their sum
+NEGATIVE_LEAD_SUMS = {
+    "fricke": (
+        SectionFrame(Fraction(15, 4), Fraction(-3, 4), -6),
+        (Fraction(-15, 4), Fraction(39, 16)),
+        (Fraction(3, 2), Fraction(-3, 2)),
+        (Fraction(-183, 8), Fraction(447, 32)),
+    ),
+    "double": (
+        F2SectionFrame(Fraction(25, 36), Fraction(100, 81), Fraction(625, 324)),
+        (Fraction(5, 7), Fraction(1445, 567)),
+        (-4, Fraction(-3136, 81)),
+        (Fraction(-1445, 252), Fraction(-123245, 2268)),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NEGATIVE_LEAD_SUMS))
+def test_chord_of_negative_lead(name):
+    frame, a, b, total = NEGATIVE_LEAD_SUMS[name]
+    with checked_chords() as denominators:
+        r = quadric_add(frame, SectionPoint(*a, frame), SectionPoint(*b, frame))
+    assert r.xy == total
+    [D] = denominators
+    assert D < 0 and r.form[3] > 0
+
+
+def test_chord_content_limited_by_n0():
+    # from the chart point (1/2, 1/3) in the direction (2, 1), X', Z' and D
+    # share 18 but N*lead shares only 6 with them: n0 keeps a factor 3
+    frame = CHORD_FRAMES["fricke-chart"]
+    X, N, Z, D = chord_over_one_denominator(frame, frame.form, 2, 1)
+    assert (X, N, Z, D) == (171108, -4704, 74970, -5184)
+    assert math.gcd(X, Z, D) == 18 and math.gcd(X, N, Z, D) == 6
+    with checked_chords():
+        p = sections._second_point(frame, frame.form, 2, 1)
+    assert p.form == (-28518, 784, -12495, 864)
 
 
 @TRUSTED_SETTINGS
