@@ -16,7 +16,6 @@ import json
 import random
 import re
 import sys
-from dataclasses import replace
 from fractions import Fraction
 
 from . import double_fricke as df
@@ -34,6 +33,7 @@ from .exact import (
     parse_integer,
     parse_projective,
     parse_rational,
+    replace,
 )
 
 

@@ -11,7 +11,6 @@ the negative solution trees.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import partial
 
 from .exact import DOUBLE, FRICKE, DomainError, Rat, Surface, format_point, format_rational
@@ -45,18 +44,22 @@ class NotASquare(DomainError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
 class F2Point(SurfacePoint):
     """An affine point validated against (x+y+z)^2 = 9xyz exactly."""
 
-    surface: Surface = DOUBLE
+    __slots__ = ()
+
+    def __init__(self, x: Rat, y: Rat, z: Rat, surface: Surface = DOUBLE) -> None:
+        super().__init__(x, y, z, surface)
 
 
-@dataclass(frozen=True, slots=True)
 class F2SectionFrame(SectionFrame):
     """Section plane y = n0 of the double surface with base point (m0, k0)."""
 
-    surface: Surface = DOUBLE
+    __slots__ = ()
+
+    def __init__(self, m0: Rat, n0: Rat, k0: Rat, surface: Surface = DOUBLE) -> None:
+        super().__init__(m0, n0, k0, surface)
 
 
 F2SectionPoint = SectionPoint

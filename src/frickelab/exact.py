@@ -14,8 +14,8 @@ import re
 import sys
 import threading
 from contextlib import contextmanager
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Sequence, Union
 
 Rat = Union[int, Fraction]
@@ -177,18 +177,96 @@ def _over_one_denominator(p: Sequence[Rat]) -> tuple[int, int, int, int]:
 
 
 # ---------------------------------------------------------------------------
+# records
+
+
+class Record:
+    """Base of the package's frozen records: plain slotted classes.
+
+    A record class lists its slots in ``__slots__`` and its compared fields
+    in ``_fields``, in the order of its ``__init__``'s parameters; a
+    subclass adds no slots (``__slots__ = ()``).  Each ``__init__`` writes
+    the slots through their own setters (see ``_setters``) and then, where
+    the class validates, calls ``self.__post_init__()``.  Eq, hash and repr
+    read the fields only, so a slot kept beside them, such as a point's
+    ``form``, is neither compared nor shown; records of different classes
+    are never equal.  Setting or deleting an attribute is an
+    AttributeError.  ``copy``, ``deepcopy`` and pickle keep every slot as
+    it is, without validating again; ``replace`` builds a changed record
+    through ``__init__``, which does validate.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # every slot of the class and its bases: what copy and pickle keep
+        cls._slots = tuple(n for c in reversed(cls.__mro__) for n in c.__dict__.get("__slots__", ()))
+        # the compared fields as a tuple; an attrgetter binds to no instance
+        get = attrgetter(*cls._fields)
+        cls._key = get if len(cls._fields) > 1 else staticmethod(lambda record: (get(record),))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._key(self) == other._key(other)
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={value!r}" for name, value in zip(self._fields, self._key(self)))
+        return f"{type(self).__qualname__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __getstate__(self) -> tuple:
+        return tuple(getattr(self, name) for name in self._slots)
+
+    def __setstate__(self, state: tuple) -> None:
+        for name, value in zip(self._slots, state):
+            object.__setattr__(self, name, value)
+
+
+def _setters(cls: type) -> list:
+    """The setter of each slot that ``cls`` declares, in order: the one way a
+    record's constructors write past its frozen ``__setattr__``."""
+    return [getattr(cls, name).__set__ for name in cls.__slots__]
+
+
+def replace(record: Record, /, **changes) -> Record:
+    """A record of the class of ``record`` with ``changes`` to its fields.
+
+    It is built by the class's own ``__init__``, so it is validated as any
+    new record is.  A name that is not a field, ``form`` included, is a
+    TypeError.
+    """
+    unknown = changes.keys() - set(record._fields)
+    if unknown:
+        raise TypeError(f"{type(record).__qualname__} has no field {min(unknown)!r} to replace")
+    return type(record)(**{**dict(zip(record._fields, record._key(record))), **changes})
+
+
+# ---------------------------------------------------------------------------
 # projective points
 
 
-@dataclass(frozen=True, slots=True)
-class ProjectivePoint:
+class ProjectivePoint(Record):
     """Primitive integer homogeneous coordinates, first nonzero entry > 0.
 
     Covers both the plane ([p:q:r]) and space ([x:y:z:s]) flavors; the
     length of ``coords`` tells them apart.
     """
 
-    coords: tuple[int, ...]
+    __slots__ = _fields = ("coords",)
+
+    def __init__(self, coords: tuple[int, ...]) -> None:
+        _set_coords(self, coords)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if not any(self.coords):
@@ -202,6 +280,9 @@ class ProjectivePoint:
 
     def __str__(self) -> str:
         return "[" + ":".join(map(_digits, self.coords)) + "]"
+
+
+(_set_coords,) = _setters(ProjectivePoint)
 
 
 def normalize_projective(values: Sequence[Rat]) -> ProjectivePoint:
@@ -273,8 +354,7 @@ def _squarefree_split(u: int, v: int) -> tuple[int, int]:
     return su * sv << twos // 2, (u // (su * su)) * (v // (sv * sv)) << twos % 2
 
 
-@dataclass(frozen=True, slots=True)
-class QuadraticIrrational:
+class QuadraticIrrational(Record):
     """The exact value (a + b*sqrt(d)) / c with d > 1 squarefree, b != 0.
 
     Invariants: c > 0, gcd(a, b, c) == 1.  The minimal integer quadratic
@@ -293,10 +373,14 @@ class QuadraticIrrational:
     values over one squarefree d are again values over that d.
     """
 
-    a: int
-    b: int
-    d: int
-    c: int
+    __slots__ = _fields = ("a", "b", "d", "c")
+
+    def __init__(self, a: int, b: int, d: int, c: int) -> None:
+        _set_a(self, a)
+        _set_b(self, b)
+        _set_d(self, d)
+        _set_c(self, c)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.b == 0 or self.d <= 1 or self.c <= 0:
@@ -376,10 +460,7 @@ class QuadraticIrrational:
     __rmul__ = __mul__
 
 
-_set_a = QuadraticIrrational.a.__set__
-_set_b = QuadraticIrrational.b.__set__
-_set_d = QuadraticIrrational.d.__set__
-_set_c = QuadraticIrrational.c.__set__
+_set_a, _set_b, _set_d, _set_c = _setters(QuadraticIrrational)
 
 
 def make_quadratic(a: Rat, b: Rat, d: int):
@@ -471,8 +552,7 @@ def slope_between(p1: tuple[Rat, Rat], p2: tuple[Rat, Rat]) -> Slope:
 # the surfaces
 
 
-@dataclass(frozen=True, slots=True)
-class Surface:
+class Surface(Record):
     """The cubic surface Q(x, y, z) - kappa*x*y*z = sigma.
 
     Q = x^2 + y^2 + z^2 + 2*cross*(xy + yz + zx) with cross 0 or 1: the
@@ -481,10 +561,13 @@ class Surface:
     laws are all derived from this record.
     """
 
-    name: str
-    kappa: int
-    cross: int
-    sigma: Fraction = Fraction(0)
+    __slots__ = _fields = ("name", "kappa", "cross", "sigma")
+
+    def __init__(self, name: str, kappa: int, cross: int, sigma: Fraction = Fraction(0)) -> None:
+        _set_name(self, name)
+        _set_kappa(self, kappa)
+        _set_cross(self, cross)
+        _set_sigma(self, sigma)
 
     @property
     def label(self) -> str:
@@ -538,6 +621,9 @@ class Surface:
         return Fraction(self._residual(form), self.sigma.denominator * d * d * d)
 
 
+_set_name, _set_kappa, _set_cross, _set_sigma = _setters(Surface)
+
+
 class _ByName(dict):
     def __missing__(self, name):  # an unknown name is a ValueError, not a KeyError
         raise ValueError(f"unknown surface id: {name!r}")
@@ -556,11 +642,16 @@ SURFACES = _ByName((s.name, s) for s in (FRICKE, DOUBLE))
 # cubic in t by its two known roots t=0 and t=1, and read off the third root.
 
 
-@dataclass(frozen=True, slots=True)
-class LineParameter:
+class LineParameter(Record):
     """Parameter t on the segment Q + t*(P - Q); t=0 is Q, t=1 is P."""
 
-    t: Fraction
+    __slots__ = _fields = ("t",)
+
+    def __init__(self, t: Fraction) -> None:
+        _set_t(self, t)
+
+
+(_set_t,) = _setters(LineParameter)
 
 
 class _Degenerate:

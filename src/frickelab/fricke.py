@@ -9,7 +9,6 @@ surface (x + y + z)^2 = 9xyz.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Union
 
@@ -19,12 +18,15 @@ from .exact import (
     OffSurface,
     ProjectivePoint,
     Rat,
+    Record,
     SingularPoint,
     Surface,
     ZeroArgument,
     _over_one_denominator,
+    _setters,
     format_point,
     normalize_projective,
+    replace,
 )
 
 
@@ -41,8 +43,7 @@ def FrickeSurface(sigma: Rat = 0) -> Surface:
     return replace(FRICKE, sigma=Fraction(sigma))
 
 
-@dataclass(frozen=True, slots=True)
-class SurfacePoint:
+class SurfacePoint(Record):
     """An affine point on its surface exactly.
 
     ``form`` is (X, Y, Z, d): the coordinates written as (X, Y, Z)/d over
@@ -57,23 +58,21 @@ class SurfacePoint:
     there no longer raises here; the tests and ``check`` catch it.
     """
 
-    x: Fraction
-    y: Fraction
-    z: Fraction
-    surface: Surface
-    form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("x", "y", "z", "surface", "form")
+    _fields = ("x", "y", "z", "surface")
+
+    def __init__(self, x: Rat, y: Rat, z: Rat, surface: Surface) -> None:
+        _set_x(self, x if type(x) is Fraction else Fraction(x))
+        _set_y(self, y if type(y) is Fraction else Fraction(y))
+        _set_z(self, z if type(z) is Fraction else Fraction(z))
+        _set_surface(self, surface)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if type(self.x) is not Fraction:
-            object.__setattr__(self, "x", Fraction(self.x))
-        if type(self.y) is not Fraction:
-            object.__setattr__(self, "y", Fraction(self.y))
-        if type(self.z) is not Fraction:
-            object.__setattr__(self, "z", Fraction(self.z))
         form = _over_one_denominator((self.x, self.y, self.z))
         if self.surface._residual(form):
             raise OffSurface(f"{format_point(self.coords)} is not on the surface")
-        object.__setattr__(self, "form", form)
+        _set_form(self, form)
 
     @classmethod
     def _remaining_root(
@@ -83,14 +82,11 @@ class SurfacePoint:
         without ``_residual``, for the remaining root of a polynomial whose
         other roots are points on ``surface`` (see ``compose`` and ``viete``)."""
         point = object.__new__(cls)
-        # the setters of cls itself: on CPython 3.10 a slotted dataclass
-        # subclass declares every slot again, so a value set through the
-        # base's descriptor would read back as AttributeError
-        cls.x.__set__(point, x)
-        cls.y.__set__(point, y)
-        cls.z.__set__(point, z)
-        cls.surface.__set__(point, surface)
-        cls.form.__set__(point, _over_one_denominator((x, y, z)))
+        _set_x(point, x)
+        _set_y(point, y)
+        _set_z(point, z)
+        _set_surface(point, surface)
+        _set_form(point, _over_one_denominator((x, y, z)))
         return point
 
     @property
@@ -102,11 +98,16 @@ class SurfacePoint:
         return self.x == self.y == self.z == 0
 
 
-@dataclass(frozen=True, slots=True)
+_set_x, _set_y, _set_z, _set_surface, _set_form = _setters(SurfacePoint)
+
+
 class FrickePoint(SurfacePoint):
     """A point of the Fricke surface, or of the surface given."""
 
-    surface: Surface = FRICKE
+    __slots__ = ()
+
+    def __init__(self, x: Rat, y: Rat, z: Rat, surface: Surface = FRICKE) -> None:
+        super().__init__(x, y, z, surface)
 
 
 # -- composition results ----------------------------------------------------
@@ -116,25 +117,37 @@ UNDEFINED_ORIGIN = "origin-operand"
 UNDEFINED_SECANT_AT_INFINITY = "secant-at-infinity"
 
 
-@dataclass(frozen=True, slots=True)
-class Finite:
-    point: SurfacePoint
+class Finite(Record):
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: SurfacePoint) -> None:
+        _set_finite(self, point)
 
 
-@dataclass(frozen=True, slots=True)
-class Infinite:
+class Infinite(Record):
     """Composition escaped to one of the three lines at infinity (s = 0)."""
 
-    point: ProjectivePoint
+    __slots__ = _fields = ("point",)
+
+    def __init__(self, point: ProjectivePoint) -> None:
+        _set_infinite(self, point)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.point.coords[-1] != 0:
             raise ValueError(f"{self.point} is not on a line at infinity")
 
 
-@dataclass(frozen=True, slots=True)
-class Undefined:
-    reason: str
+class Undefined(Record):
+    __slots__ = _fields = ("reason",)
+
+    def __init__(self, reason: str) -> None:
+        _set_reason(self, reason)
+
+
+(_set_finite,) = _setters(Finite)
+(_set_infinite,) = _setters(Infinite)
+(_set_reason,) = _setters(Undefined)
 
 
 ComposeResult = Union[Finite, Infinite, Undefined]

@@ -26,7 +26,6 @@ when the result would pass MAX_LUCAS_BITS bits.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, isqrt
 
@@ -35,11 +34,13 @@ from .exact import (
     FRICKE,
     DomainError,
     Rat,
+    Record,
     SingularPoint,
     Slope,
     Surface,
     _over_one_denominator,
     _quadratic,
+    _setters,
     _squarefree_split,
     common_denominator,
     format_point,
@@ -59,31 +60,31 @@ class IndexZero(DomainError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class SectionFrame:
-    """A section plane y = n0 together with the base point O = (m0, k0)."""
+class SectionFrame(Record):
+    """A section plane y = n0 together with the base point O = (m0, k0).
 
-    m0: Fraction
-    n0: Fraction
-    k0: Fraction
-    surface: Surface = FRICKE
-    # (m0, n0, k0) = (M, N, K)/d, as a point's (x, n0, z) = (X, N, Z)/d
-    form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    ``form`` is (M, N, K, d) with (m0, n0, k0) = (M, N, K)/d, as a point's
+    (x, n0, z) = (X, N, Z)/d.
+    """
+
+    __slots__ = ("m0", "n0", "k0", "surface", "form")
+    _fields = ("m0", "n0", "k0", "surface")
+
+    def __init__(self, m0: Rat, n0: Rat, k0: Rat, surface: Surface = FRICKE) -> None:
+        _set_m0(self, m0 if type(m0) is Fraction else Fraction(m0))
+        _set_n0(self, n0 if type(n0) is Fraction else Fraction(n0))
+        _set_k0(self, k0 if type(k0) is Fraction else Fraction(k0))
+        _set_surface(self, surface)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if type(self.m0) is not Fraction:
-            object.__setattr__(self, "m0", Fraction(self.m0))
-        if type(self.n0) is not Fraction:
-            object.__setattr__(self, "n0", Fraction(self.n0))
-        if type(self.k0) is not Fraction:
-            object.__setattr__(self, "k0", Fraction(self.k0))
         form = _over_one_denominator((self.m0, self.n0, self.k0))
         if self.surface._residual(form):
             point = format_point((self.m0, self.n0, self.k0))
             raise OffSection(f"{point} is not on the surface")
         if form[1] == 0:
             raise OffSection("n0 = 0 degenerates the section")
-        object.__setattr__(self, "form", form)
+        _set_frame_form(self, form)
 
     @property
     def conic(self) -> tuple[Fraction, Fraction]:
@@ -108,8 +109,10 @@ class SectionFrame:
         return self.surface.contains((x, self.n0, z))
 
 
-@dataclass(frozen=True, slots=True)
-class SectionPoint:
+_set_m0, _set_n0, _set_k0, _set_surface, _set_frame_form = _setters(SectionFrame)
+
+
+class SectionPoint(Record):
     """A point (x, z) of the section of its frame.
 
     Every public construction is validated by ``Surface._residual`` on the
@@ -120,20 +123,20 @@ class SectionPoint:
     A wrong chord no longer raises here; the tests catch it.
     """
 
-    x: Fraction
-    z: Fraction
-    frame: SectionFrame
-    form: tuple[int, int, int, int] = field(init=False, repr=False, compare=False)
+    __slots__ = ("x", "z", "frame", "form")
+    _fields = ("x", "z", "frame")
+
+    def __init__(self, x: Rat, z: Rat, frame: SectionFrame) -> None:
+        _set_x(self, x if type(x) is Fraction else Fraction(x))
+        _set_z(self, z if type(z) is Fraction else Fraction(z))
+        _set_frame(self, frame)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
-        if type(self.x) is not Fraction:
-            object.__setattr__(self, "x", Fraction(self.x))
-        if type(self.z) is not Fraction:
-            object.__setattr__(self, "z", Fraction(self.z))
         form = _over_one_denominator((self.x, self.frame.n0, self.z))
         if self.frame.surface._residual(form):
             raise OffSection(f"{format_point(self.xy)} is not on the section")
-        object.__setattr__(self, "form", form)
+        _set_point_form(self, form)
 
     @classmethod
     def _second_root(cls, form: tuple[int, int, int, int], frame: SectionFrame) -> "SectionPoint":
@@ -141,14 +144,13 @@ class SectionPoint:
         (X, N, Z, d), built without ``_residual`` for the second root of a
         chord through a point of the section (see ``_second_point``): x and
         z are Fraction(X, d) and Fraction(Z, d), and the form is kept as it
-        is.  The slots are set through SectionPoint's own setters, which is
-        the only class it is called on."""
+        is."""
         x, _n, z, d = form
         point = object.__new__(cls)
         _set_x(point, Fraction(x, d))  # the slots' own setters: no frozen __setattr__
         _set_z(point, Fraction(z, d))
         _set_frame(point, frame)
-        _set_form(point, form)
+        _set_point_form(point, form)
         return point
 
     @property
@@ -156,10 +158,7 @@ class SectionPoint:
         return (self.x, self.z)
 
 
-_set_x = SectionPoint.x.__set__
-_set_z = SectionPoint.z.__set__
-_set_frame = SectionPoint.frame.__set__
-_set_form = SectionPoint.form.__set__
+_set_x, _set_z, _set_frame, _set_point_form = _setters(SectionPoint)
 
 
 def _on_frame(frame: SectionFrame, *points: SectionPoint) -> None:
@@ -264,7 +263,9 @@ def _lucas(tau: Fraction, n: int) -> tuple[int, int]:
     DomainError, before any doubling, when n*max(bits(p), bits(q)), about
     the bit length of V_{n+1}, exceeds MAX_LUCAS_BITS.  An integer tau
     with |tau| <= 2 is never refused: there U_n is periodic or +-n, of
-    about bits(n) bits.
+    about bits(n) bits.  At tau = +-2 it is the closed form
+    U_n = n*(tau/2)^(n-1), since the doubling would run one step per bit
+    of n on numbers as large as n.
     """
     p, q = tau.numerator, tau.denominator
     bits = n * max(abs(p).bit_length(), q.bit_length())
@@ -273,6 +274,10 @@ def _lucas(tau: Fraction, n: int) -> tuple[int, int]:
             f"U_{format_rational(n)} at tau = {format_rational(tau)} has about"
             f" {format_rational(bits)} bits, past the limit of {MAX_LUCAS_BITS} bits"
         )
+    if q == 1 and abs(p) == 2:
+        if p > 0 or n % 2:  # (tau/2)^(n-1) = 1, so U_{n+1} = (n+1)*tau/2
+            return n, p // 2 * (n + 1)
+        return -n, n + 1  # (tau/2)^(n-1) = -1 and (tau/2)^n = 1
     qq = q * q
     v, w = 0, 1
     for bit in bin(n)[2:]:

@@ -6,9 +6,16 @@ output deterministic: ordered by depth, then lexicographically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
-from .exact import DOUBLE, FRICKE, DomainError, Surface, format_point, format_rational
+from .exact import (
+    DOUBLE,
+    FRICKE,
+    DomainError,
+    Record,
+    Surface,
+    _setters,
+    format_point,
+    format_rational,
+)
 
 
 class RootOffSurface(DomainError):
@@ -19,8 +26,7 @@ class NotAMarkovNumber(DomainError):
     pass
 
 
-@dataclass(frozen=True, slots=True)
-class CanonicalTriple:
+class CanonicalTriple(Record):
     """Integer triple sorted ascending, on the surface of its record.
 
     Every public construction is validated: sorted, and on the surface by
@@ -29,8 +35,12 @@ class CanonicalTriple:
     of a validated triple (``tests/test_trusted_construction.py``).
     """
 
-    values: tuple[int, int, int]
-    surface: Surface = FRICKE
+    __slots__ = _fields = ("values", "surface")
+
+    def __init__(self, values: tuple[int, int, int], surface: Surface = FRICKE) -> None:
+        _set_values(self, values)
+        _set_surface(self, surface)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if tuple(sorted(self.values)) != self.values:
@@ -53,8 +63,7 @@ class CanonicalTriple:
         return self.values[2]
 
 
-_set_values = CanonicalTriple.values.__set__
-_set_surface = CanonicalTriple.surface.__set__
+_set_values, _set_surface = _setters(CanonicalTriple)
 
 
 def canonical(values, surface: Surface = FRICKE) -> CanonicalTriple:
@@ -65,12 +74,23 @@ def canonical(values, surface: Surface = FRICKE) -> CanonicalTriple:
     return CanonicalTriple(tuple(sorted(map(int, values))), surface)
 
 
-@dataclass(frozen=True, slots=True)
-class TreeNode:
-    triple: CanonicalTriple
-    via: str | None  # which coordinate the Vieta move replaced; None at the root
-    depth: int
-    parent: int | None = None  # position of the parent node in generate's list
+class TreeNode(Record):
+    """One triple of a tree: ``via`` is the coordinate the Vieta move replaced
+    (None at the root), and ``parent`` the position of the parent node in
+    ``generate``'s list."""
+
+    __slots__ = _fields = ("triple", "via", "depth", "parent")
+
+    def __init__(
+        self, triple: CanonicalTriple, via: str | None, depth: int, parent: int | None = None
+    ) -> None:
+        _set_triple(self, triple)
+        _set_via(self, via)
+        _set_depth(self, depth)
+        _set_parent(self, parent)
+
+
+_set_triple, _set_via, _set_depth, _set_parent = _setters(TreeNode)
 
 
 # The most bits, summed over the entries of every triple, that one ``generate`` may
@@ -158,15 +178,25 @@ MARKOV_ROOT = CanonicalTriple((1, 1, 1), FRICKE)
 DOUBLE_ROOT = CanonicalTriple((1, 1, 1), DOUBLE)
 
 
-@dataclass(frozen=True, slots=True)
-class FrobeniusReport:
-    max_component: int
-    by_largest: dict[int, list[CanonicalTriple]]
-    duplicates: dict[int, list[CanonicalTriple]]
+class FrobeniusReport(Record):
+    __slots__ = _fields = ("max_component", "by_largest", "duplicates")
+
+    def __init__(
+        self,
+        max_component: int,
+        by_largest: dict[int, list[CanonicalTriple]],
+        duplicates: dict[int, list[CanonicalTriple]],
+    ) -> None:
+        _set_max_component(self, max_component)
+        _set_by_largest(self, by_largest)
+        _set_duplicates(self, duplicates)
 
     @property
     def counterexample_found(self) -> bool:
         return bool(self.duplicates)
+
+
+_set_max_component, _set_by_largest, _set_duplicates = _setters(FrobeniusReport)
 
 
 def frobenius_scan(max_component: int) -> FrobeniusReport:

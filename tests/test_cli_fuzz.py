@@ -9,13 +9,22 @@ seeded argv come points at infinity on one Markov frame per surface with
 n0 up to 195025, which trial division to the cube root makes affordable,
 b_5000(3), whose 4,744 digits are past the limit of str() on ints, and a
 fixed list of argv-shape edge cases on one valid argv per subcommand.
+Apart from the corpus, every integer option but ``--pairs`` (uncapped by
+design: linear time, constant memory) runs at 10^6 and at a 10^4-digit
+value, each in a child process under a timeout of 5 s: the slowest, the
+trees that the bit budget refuses, take under a second.
 """
 import contextlib
 import io
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
-from frickelab.cli import HANDLERS, run
+import pytest
+
+from conftest import child_env
+from frickelab.cli import COMMANDS, HANDLERS, _integer, _positive_int, run
 
 SEED = 20261018
 COUNT = 600
@@ -275,3 +284,43 @@ def test_every_argv_exits_0_1_or_2_without_traceback():
         if code not in (0, 1, 2) or "Traceback" in err:
             failures.append((argv, code))
     assert not failures, failures[:5]
+
+
+# each integer option in one argv per subcommand that takes it, "{}" for its value
+EXTREME = "{}"
+EXTREME_ARGV = [
+    ["tree", "--depth", EXTREME],
+    ["tree", "--max-component", EXTREME],
+    ["negative-tree", "--depth", EXTREME],
+    ["negative-tree", "--n", EXTREME, "--depth", "1"],
+    ["frobenius", "--max-component", EXTREME],
+    ["ta-power", "--frame", "1,5,2", "--r", EXTREME, "1,2"],
+    ["convergent", "--frame", "1,5,2", "--r", EXTREME],
+    *(["chebyshev", "--r", EXTREME, "--n0", n0] for n0 in ("3", "2/3", "-2/3")),
+    ["check", "--seed", EXTREME, "--pairs", "2"],
+]
+
+
+def test_extreme_values_cover_every_integer_option():
+    options = {a for argv in EXTREME_ARGV for a, b in zip(argv, argv[1:]) if b == EXTREME}
+    integers = {
+        name
+        for _help, _handler, arguments in COMMANDS.values()
+        for name, keywords in arguments
+        if keywords.get("type") in (_integer, _positive_int)
+    }
+    assert options == integers - {"--pairs"}
+
+
+@pytest.mark.parametrize("value", [str(10**6), "9" * 10**4], ids=["1e6", "10k-digits"])
+@pytest.mark.parametrize("argv", EXTREME_ARGV, ids=lambda argv: " ".join(argv[:5]))
+def test_extreme_integer_options_exit_0_1_or_2(argv, value):
+    argv = [value if a == EXTREME else a for a in argv]
+    proc = subprocess.run(
+        [sys.executable, "-m", "frickelab.cli", *argv],
+        capture_output=True,
+        text=True,
+        timeout=5,
+        env=child_env(),
+    )
+    assert proc.returncode in (0, 1, 2) and "Traceback" not in proc.stderr, proc.stderr[-500:]

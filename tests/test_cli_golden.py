@@ -22,13 +22,12 @@ import contextlib
 import io
 import json
 import sys
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from frickelab import DOUBLE, FrickeSurface, compose, line_point, line_third_intersection
+from frickelab import DOUBLE, FrickeSurface, compose, line_point, line_third_intersection, replace
 from frickelab.cli import run
 from frickelab.exact import parse_rational
 

@@ -387,8 +387,7 @@ def _ellipse():
 def _double_node():
     # the node x = z = -2*n0/(4 - 9*n0) of a double section, a base point on
     # the double surface shifted by sigma so that its section is a line pair
-    from dataclasses import replace
-
+    from frickelab import replace
     from frickelab.sections import SectionPoint, tangent_slope
 
     n0 = Fraction(4, 9) + Fraction(1, HUGE)
@@ -400,8 +399,7 @@ def _double_node():
 
 def _f2_point(*coords):
     """A point of the double surface shifted by sigma to pass through coords."""
-    from dataclasses import replace
-
+    from frickelab import replace
     from frickelab.double_fricke import F2Point
 
     return F2Point(*coords, replace(exact.DOUBLE, sigma=exact.DOUBLE.defect(coords)))

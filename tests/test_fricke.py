@@ -1,5 +1,4 @@
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -24,6 +23,7 @@ from frickelab import (
     param_affine_inverse,
     phi,
     psi,
+    replace,
     star,
     surface_defect,
     viete,

@@ -11,13 +11,10 @@ here; ``compose`` also against its closed form in Fractions, the integer
 line test of ``check`` against ``line_point``, and the integer form each
 point, section frame and section point keeps against that conversion."""
 import copy
-import dataclasses
 import decimal
 import math
 import pickle
 import random
-import sys
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -48,6 +45,7 @@ from frickelab import (
     quadric_add,
     quadric_double,
     quadric_inverse,
+    replace,
     slope_between,
     surface_defect,
     viete,
@@ -85,8 +83,6 @@ chart_parameters = st.builds(Fraction, nonzero, st.integers(1, HEIGHT))
 surfaces = st.sampled_from([FRICKE, DOUBLE])
 CHARTS = {"fricke": param_affine, "double": f2_param_affine}
 KAPPA = {"fricke": 3, "double": 9}
-# dataclasses.replace on an init=False field: ValueError before CPython 3.13, TypeError from it
-REPLACE_INIT_FALSE_ERROR = ValueError if sys.version_info < (3, 13) else TypeError
 
 
 def assert_matches_oracle(a: SurfacePoint, b: SurfacePoint):
@@ -952,7 +948,7 @@ def test_stored_form_is_the_points_integer_form(name):
     swapped = replace(p, x=p.y, y=p.x)
     assert_form_is_canonical(swapped)
     assert swapped.form == (p.form[1], p.form[0], *p.form[2:])
-    with pytest.raises(REPLACE_INIT_FALSE_ERROR):
+    with pytest.raises(TypeError, match="no field 'form'"):
         replace(p, form=(0, 0, 0, 1))
 
 
@@ -972,11 +968,17 @@ def test_form_leaves_eq_hash_and_repr():
     one = FrickePoint(1, 1, 1)
     spelled = FrickePoint(Fraction(2, 2), 1, 1)
     assert one == spelled and hash(one) == hash(spelled)
-    # the dataclass hash and repr of the four compared fields, as before the
-    # form was stored
-    assert [f.name for f in dataclasses.fields(one) if f.compare] == ["x", "y", "z", "surface"]
-    for p in (one, *FORM_POINTS.values()):
+    # eq, hash and repr read the four fields x, y, z and surface, as before the
+    # form was stored: a point whose form is set wrong is still equal, with the
+    # same hash and repr
+    points = [one, *FORM_POINTS.values(), FrickePoint(0, 0, 0), SurfacePoint(0, 0, 0, DOUBLE)]
+    for p in points:
         assert hash(p) == hash((p.x, p.y, p.z, p.surface))
+        for q in points:
+            assert (p == q) == (type(p) is type(q) and (p.x, p.y, p.z, p.surface) == (q.x, q.y, q.z, q.surface))
+        wrong = copy.copy(p)
+        object.__setattr__(wrong, "form", (0, 0, 0, 7))
+        assert (wrong, hash(wrong), repr(wrong)) == (p, hash(p), repr(p)) and wrong.form != p.form
     surface = "surface=Surface(name='fricke', kappa=3, cross=0, sigma=Fraction(0, 1))"
     ones = "x=Fraction(1, 1), y=Fraction(1, 1), z=Fraction(1, 1)"
     assert repr(one) == repr(spelled) == f"FrickePoint({ones}, {surface})"
@@ -1081,11 +1083,16 @@ def test_section_form_leaves_eq_hash_and_repr():
     assert frame == spelled and hash(frame) == hash(spelled)
     assert p == q and hash(p) == hash(q)
     assert p.form == q.form and frame.form == spelled.form
-    # the fields compared, hashed and shown are those before the form was stored
-    assert [f.name for f in dataclasses.fields(frame) if f.compare] == ["m0", "n0", "k0", "surface"]
-    assert [f.name for f in dataclasses.fields(p) if f.compare] == ["x", "z", "frame"]
+    # the fields compared, hashed and shown are those before the form was stored:
+    # a frame or point whose form is set wrong is still equal, with the same hash
+    # and repr, and one with other coordinates is not
     assert hash(frame) == hash((frame.m0, frame.n0, frame.k0, frame.surface))
     assert hash(p) == hash((p.x, p.z, p.frame))
+    for v in (frame, p):
+        wrong = copy.copy(v)
+        object.__setattr__(wrong, "form", (0, 0, 0, 7))
+        assert (wrong, hash(wrong), repr(wrong)) == (v, hash(v), repr(v)) and wrong.form != v.form
+    assert SectionFrame(2, 5, 1) != frame and SectionPoint(29, 2, frame) != SectionPoint(2, 29, frame)
     surface = "surface=Surface(name='fricke', kappa=3, cross=0, sigma=Fraction(0, 1))"
     shown = f"SectionFrame(m0=Fraction(1, 1), n0=Fraction(5, 1), k0=Fraction(2, 1), {surface})"
     assert repr(frame) == repr(spelled) == shown
@@ -1100,5 +1107,5 @@ def test_section_form_leaves_eq_hash_and_repr():
             assert type(other) is type(v) and other == v
             assert other.form == v.form
         assert replace(v).form == v.form
-        with pytest.raises(REPLACE_INIT_FALSE_ERROR):
+        with pytest.raises(TypeError, match="no field 'form'"):
             replace(v, form=(0, 0, 0, 1))

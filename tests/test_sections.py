@@ -1,6 +1,5 @@
 import random
 import time
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -20,6 +19,7 @@ from frickelab import (
     quadric_add,
     quadric_double,
     quadric_inverse,
+    replace,
     slope_between,
     solve_z,
     ta_power,
@@ -32,6 +32,7 @@ from frickelab.sections import (
     DenominatorVanishes,
     IndexZero,
     OffSection,
+    _lucas,
     tangent_slope,
 )
 
@@ -278,6 +279,35 @@ class TestChebyshev:
                 assert got == chebyshev_b(r % 12, n0)
             else:
                 assert abs(got) == r + 1
+
+    @pytest.mark.parametrize("tau", [-2, -1, 0, 1, 2])
+    def test_lucas_at_integer_tau_matches_the_doubling(self, tau):
+        # the doubling as _lucas runs it for every other tau, written out here,
+        # and the recurrence itself: at tau = +-2 _lucas takes the closed form
+        # U_n = n*(tau/2)^(n-1) in their place
+        def doubling(n):
+            v, w = 0, 1
+            for bit in bin(n)[2:]:
+                v, w = v * (2 * w - tau * v), w * w - v * v
+                if bit == "1":
+                    v, w = w, tau * w - v
+            return v, w
+
+        terms = [0, 1]
+        while len(terms) < 202:
+            terms.append(tau * terms[-1] - terms[-2])
+        for n in range(201):
+            assert _lucas(Fraction(tau), n) == doubling(n) == (terms[n], terms[n + 1])
+
+    @pytest.mark.parametrize("n0", [Fraction(2, 3), Fraction(-2, 3)])
+    def test_ten_thousand_digit_index_at_tau_two(self, n0):
+        # b_r = U_{r+1} = (r+1)*(tau/2)^r: a closed form, not 33,000 doublings on
+        # numbers as large as r; r is odd
+        r = 10**10000 - 1
+        start = time.perf_counter()
+        assert chebyshev_b(r, n0) == (r + 1) * (1 if n0 > 0 else -1)
+        assert chebyshev_b(r - 1, n0) == r
+        assert time.perf_counter() - start < 1  # the doubling took 14 s
 
     def test_bit_limit_on_powers_and_convergents(self):
         fr = frame((1, 5, 2))  # tau = 15: four bits per index

@@ -1,4 +1,3 @@
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -15,6 +14,7 @@ from frickelab import (
     fundamental_point,
     fundamental_points,
     generate,
+    replace,
 )
 from frickelab import tree
 from frickelab.tree import NotAMarkovNumber, RootOffSurface

@@ -17,7 +17,6 @@ import itertools
 import math
 import random
 from contextlib import contextmanager
-from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -48,6 +47,7 @@ from frickelab import (
     quadric_add,
     quadric_double,
     quadric_inverse,
+    replace,
     star,
     viete,
 )
