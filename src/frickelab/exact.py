@@ -186,11 +186,13 @@ class Record:
     A record class lists its slots in ``__slots__`` and its compared fields
     in ``_fields``, in the order of its ``__init__``'s parameters; a
     subclass adds no slots (``__slots__ = ()``).  Each ``__init__`` writes
-    the slots through their own setters (see ``_setters``) and then, where
-    the class validates, calls ``self.__post_init__()``.  Eq, hash and repr
-    read the fields only, so a slot kept beside them, such as a point's
-    ``form``, is neither compared nor shown; records of different classes
-    are never equal.  Setting or deleting an attribute is an
+    the slots through their own setters (see ``_setters``) and validates
+    them itself, in a ``__post_init__`` that it calls only where the
+    benchmark's tracer wraps that method by name: ``ProjectivePoint``,
+    ``SurfacePoint``, ``SectionPoint`` and ``CanonicalTriple``.  Eq, hash
+    and repr read the fields only, so a slot kept beside them, such as a
+    point's ``form``, is neither compared nor shown; records of different
+    classes are never equal.  Setting or deleting an attribute is an
     AttributeError.  ``copy``, ``deepcopy`` and pickle keep every slot as
     it is, without validating again; ``replace`` builds a changed record
     through ``__init__``, which does validate.
@@ -380,22 +382,19 @@ class QuadraticIrrational(Record):
         _set_b(self, b)
         _set_d(self, d)
         _set_c(self, c)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.b == 0 or self.d <= 1 or self.c <= 0:
+        if b == 0 or d <= 1 or c <= 0:
             raise ValueError("not a normalized quadratic irrational")
-        if math.isqrt(self.d) ** 2 == self.d:
-            raise ValueError(f"d={format_rational(self.d)} is a perfect square")
-        if _square_part(self.d) != 1:
-            raise ValueError(f"d={format_rational(self.d)} is not squarefree")
-        if math.gcd(self.a, self.b, self.c) != 1:
+        if math.isqrt(d) ** 2 == d:
+            raise ValueError(f"d={format_rational(d)} is a perfect square")
+        if _square_part(d) != 1:
+            raise ValueError(f"d={format_rational(d)} is not squarefree")
+        if math.gcd(a, b, c) != 1:
             raise ValueError("coordinates not primitive")
 
     @classmethod
     def _squarefree(cls, a: int, b: int, d: int, c: int) -> "QuadraticIrrational":
-        """The value (a + b*sqrt(d))/c without ``__post_init__``, for a d
-        known to be squarefree and (a, b, c) already normalized."""
+        """The value (a + b*sqrt(d))/c without the checks of ``__init__``,
+        for a d known to be squarefree and (a, b, c) already normalized."""
         value = object.__new__(cls)
         _set_a(value, a)  # the slots' own setters: no frozen __setattr__
         _set_b(value, b)
@@ -558,16 +557,16 @@ class Surface(Record):
     Q = x^2 + y^2 + z^2 + 2*cross*(xy + yz + zx) with cross 0 or 1: the
     sum of squares of the Fricke surface, or the squared sum (x + y + z)^2
     of the double surface.  The secant, Vieta, plane-transfer and section
-    laws are all derived from this record.
+    laws are all derived from this record, which keeps sigma as a Fraction.
     """
 
     __slots__ = _fields = ("name", "kappa", "cross", "sigma")
 
-    def __init__(self, name: str, kappa: int, cross: int, sigma: Fraction = Fraction(0)) -> None:
+    def __init__(self, name: str, kappa: int, cross: int, sigma: Rat = Fraction(0)) -> None:
         _set_name(self, name)
         _set_kappa(self, kappa)
         _set_cross(self, cross)
-        _set_sigma(self, sigma)
+        _set_sigma(self, sigma if type(sigma) is Fraction else Fraction(sigma))
 
     @property
     def label(self) -> str:
@@ -603,10 +602,10 @@ class Surface(Record):
         s_d less s_n*d^3 when sigma != 0."""
         X, Y, Z, d = form
         r = self.quad(X, Y, Z) * d - self.kappa * X * Y * Z
-        if not self.sigma:
+        sigma = self.sigma
+        if not sigma:
             return r
-        s_n, s_d = self.sigma.as_integer_ratio()
-        return r * s_d - s_n * d * d * d
+        return r * sigma.denominator - sigma.numerator * d * d * d
 
     def contains(self, p: Sequence[Rat]) -> bool:
         """Whether p lies on the surface, decided in integers on p's form

@@ -40,7 +40,7 @@ class UndefinedImage(DomainError):
 
 def FrickeSurface(sigma: Rat = 0) -> Surface:
     """The Fricke record shifted to x^2 + y^2 + z^2 - 3xyz = sigma."""
-    return replace(FRICKE, sigma=Fraction(sigma))
+    return replace(FRICKE, sigma=sigma)
 
 
 class SurfacePoint(Record):
@@ -55,7 +55,7 @@ class SurfacePoint(Record):
     ``_remaining_root``, which skips that check: their result is the
     remaining root of a polynomial whose other roots are points on the
     surface (``tests/test_trusted_construction.py``).  A wrong closed form
-    there no longer raises here; the tests and ``check`` catch it.
+    there is not caught here; the tests and ``check`` catch it.
     """
 
     __slots__ = ("x", "y", "z", "surface", "form")
@@ -131,11 +131,8 @@ class Infinite(Record):
 
     def __init__(self, point: ProjectivePoint) -> None:
         _set_infinite(self, point)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        if self.point.coords[-1] != 0:
-            raise ValueError(f"{self.point} is not on a line at infinity")
+        if point.coords[-1] != 0:
+            raise ValueError(f"{point} is not on a line at infinity")
 
 
 class Undefined(Record):
@@ -302,12 +299,20 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     return Infinite(normalize_projective([a * d2 - m * d1, b * d2 - n * d1, c * d2 - k * d1, 0]))
 
 
+def _fricke_only(law: str, p: SurfacePoint, q: SurfacePoint) -> None:
+    """ValueError naming the first surface of p, q that is not FRICKE."""
+    for s in (p.surface, q.surface):
+        if s != FRICKE:
+            raise ValueError(f"{law} is a law of the fricke surface, not of {s.label}")
+
+
 def compose_alternative(p: FrickePoint, q: FrickePoint) -> FrickePoint:
-    """Factored form of the finite composition (sigma = 0 only).
+    """Factored form of the finite composition, on FRICKE alone (sigma = 0).
 
     Valid when all coordinate differences and all six coordinates are
     nonzero; agrees with :func:`compose` coordinatewise.
     """
+    _fricke_only("compose_alternative", p, q)
     (a, b, c), (m, n, k) = p.coords, q.coords
     u, v, w = a * n - b * m, a * k - m * c, b * k - c * n
     x = (u * u + v * v) / (3 * a * m * (b - n) * (c - k))
@@ -325,9 +330,7 @@ def star(p: FrickePoint, q: FrickePoint) -> ComposeResult:
     A law of the Fricke surface alone: operands on another surface are a
     ValueError that names it.
     """
-    for s in (p.surface, q.surface):
-        if s != FRICKE:
-            raise ValueError(f"star is a law of the fricke surface, not of {s.label}")
+    _fricke_only("star", p, q)
     inner = compose(p, q)
     if isinstance(inner, Undefined):
         return inner

@@ -75,13 +75,10 @@ class SectionFrame(Record):
         _set_n0(self, n0 if type(n0) is Fraction else Fraction(n0))
         _set_k0(self, k0 if type(k0) is Fraction else Fraction(k0))
         _set_surface(self, surface)
-        self.__post_init__()
-
-    def __post_init__(self) -> None:
-        form = _over_one_denominator((self.m0, self.n0, self.k0))
-        if self.surface._residual(form):
-            point = format_point((self.m0, self.n0, self.k0))
-            raise OffSection(f"{point} is not on the surface")
+        triple = (self.m0, self.n0, self.k0)
+        form = _over_one_denominator(triple)
+        if surface._residual(form):
+            raise OffSection(f"{format_point(triple)} is not on the surface")
         if form[1] == 0:
             raise OffSection("n0 = 0 degenerates the section")
         _set_frame_form(self, form)
@@ -120,7 +117,7 @@ class SectionPoint(Record):
     double and inverse) builds points through ``_second_root``, which skips
     that check: its result is the second root of a quadratic whose first
     root is a point on the section (``tests/test_trusted_construction.py``).
-    A wrong chord no longer raises here; the tests catch it.
+    A wrong chord is not caught here; the tests catch it.
     """
 
     __slots__ = ("x", "z", "frame", "form")

@@ -266,6 +266,21 @@ class TestStar:
         with pytest.raises(ValueError, match=f"^star is a law of the fricke surface, not of {where}$"):
             star(p, q)
 
+    @pytest.mark.parametrize(
+        "p, q, where",
+        [
+            # the factored form: off the Fricke surface on the first pair, 1/0 on the second
+            (P(4, 1, 1, DOUBLE), P(1, 4, 25, DOUBLE), "double"),
+            (P(1, 2, 3, FrickeSurface(-4)), P(1, 3, 2, FrickeSurface(-4)), "fricke with sigma = -4"),
+            (P(2, 1, 1), P(1, 4, 25, DOUBLE), "double"),
+        ],
+        ids=["double", "fricke-sigma-4", "mixed"],
+    )
+    def test_compose_alternative_shares_the_fricke_guard(self, p, q, where):
+        law = "compose_alternative is a law of the fricke surface"
+        with pytest.raises(ValueError, match=f"^{law}, not of {where}$"):
+            compose_alternative(p, q)
+
 
 class TestPlaneTransfers:
     def test_p2_viete_values(self):

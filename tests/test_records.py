@@ -5,7 +5,9 @@ the records did as frozen slotted dataclasses: the repr of each class, a
 hash equal to that of the tuple of its compared fields, eq only within
 one class, no assignment or deletion, copies and pickles that keep the
 type, the value and a point's ``form``, and a ``replace`` that validates
-its result and refuses ``form``.
+its result and refuses ``form``.  A ``Surface`` holds sigma as a Fraction
+whatever rational it is given, so ``replace(FRICKE, sigma=...)`` and
+``FrickeSurface`` agree.
 """
 import copy
 import pickle
@@ -217,6 +219,7 @@ def test_replace_refuses_form_and_unknown_names(name):
         (ProjectivePoint((1, 2, 0)), {"coords": (2, 4, 0)}, ValueError),
         (make_quadratic(0, 1, 5), {"d": 4}, ValueError),
         (Infinite(ProjectivePoint((0, 1, -1, 0))), {"point": ProjectivePoint((1, 1, 1, 1))}, ValueError),
+        (FRICKE, {"sigma": "x"}, ValueError),
     ],
     ids=[
         "point-off-surface",
@@ -228,6 +231,7 @@ def test_replace_refuses_form_and_unknown_names(name):
         "projective-not-primitive",
         "radicand-square",
         "infinite-finite-point",
+        "surface-sigma-not-rational",
     ],
 )
 def test_replace_validates(record, changes, error):
@@ -242,3 +246,18 @@ def test_replace_changes_fields():
     assert replace(FRICKE, sigma=Fraction(-4)) == FrickeSurface(-4) == Surface("fricke", 3, 0, Fraction(-4))
     node = replace(RECORDS["TreeNode"][0], parent=None)
     assert (node.parent, node.depth) == (None, 2)
+
+
+@pytest.mark.parametrize(
+    "sigma, exact",
+    [(-4, Fraction(-4)), (0.5, Fraction(1, 2)), ("-4/3", Fraction(-4, 3)), (Fraction(2), Fraction(2))],
+    ids=["int", "float", "str", "fraction"],
+)
+def test_surface_keeps_sigma_as_a_fraction(sigma, exact):
+    shifted, direct = replace(FRICKE, sigma=sigma), Surface("fricke", 3, 0, sigma)
+    assert type(shifted.sigma) is type(direct.sigma) is Fraction and shifted.sigma == exact
+    assert shifted == direct == FrickeSurface(exact)
+    assert repr(shifted) == repr(FrickeSurface(sigma)) == repr(FrickeSurface(exact))
+    # Q(1, 1, 1) - 3*1*1*1 = 0, so the defect there is -sigma
+    assert shifted.defect((1, 1, 1)) == -exact
+    assert shifted.contains((1, 1, 1)) is (exact == 0)

@@ -6,7 +6,7 @@
 ``QuadraticIrrational._squarefree``, ``compose`` and ``viete`` build their
 results through ``SurfacePoint._remaining_root``, and the section chord
 builds its second point through ``SectionPoint._second_root``; none runs
-``__post_init__``.  These tests hold each to its validating constructor,
+its class's validation.  These tests hold each to its validating constructor,
 and an AST scan keeps their call sites where a law guarantees the skipped
 check.  The chord also builds its point's form by one content gcd over the
 chord's one denominator; every chord's form is held to
