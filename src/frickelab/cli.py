@@ -10,16 +10,13 @@ failure), 1 on domain errors, 2 on usage errors.
 """
 from __future__ import annotations
 
-import argparse
 import functools
 import json
-import random
 import re
 import sys
 from fractions import Fraction
+from types import SimpleNamespace
 
-from . import double_fricke as df
-from . import fricke, sections, tree
 from .exact import (
     DEGENERATE_CUBIC,
     SURFACES,
@@ -35,6 +32,46 @@ from .exact import (
     parse_rational,
     replace,
 )
+
+
+class _Lazy:
+    """A module, or with ``attr`` a class of one, that this process has not used yet,
+    bound under ``alias`` in this module's globals.  Its first use imports the module
+    and binds it, or the class, there in place of this stand-in, so every later use is
+    a plain global lookup: a process loads only what its subcommand runs, and only once.
+
+    Reading an attribute loads the module.  An isinstance test against a class loads
+    nothing: before its module is loaded, no value can be of the class."""
+
+    __slots__ = ("alias", "module", "attr")
+
+    def __init__(self, alias: str, module: str, attr: str | None = None) -> None:
+        self.alias, self.module, self.attr = alias, module, attr
+
+    def _load(self):
+        __import__(self.module)  # as an import statement does, which -X importtime reports
+        value = sys.modules[self.module]
+        if self.attr is not None:
+            value = getattr(value, self.attr)
+        globals()[self.alias] = value
+        return value
+
+    def __getattr__(self, name: str):
+        return getattr(self._load(), name)
+
+    def __instancecheck__(self, value) -> bool:
+        return self.module in sys.modules and isinstance(value, self._load())
+
+
+fricke = _Lazy("fricke", f"{__package__}.fricke")
+sections = _Lazy("sections", f"{__package__}.sections")
+tree = _Lazy("tree", f"{__package__}.tree")
+df = _Lazy("df", f"{__package__}.double_fricke")
+random = _Lazy("random", "random")  # for check alone
+argparse = _Lazy("argparse", "argparse")  # for --help and usage errors, a type's refusal too
+# the law points that _ser writes
+_SurfacePoint = _Lazy("_SurfacePoint", f"{__package__}.fricke", "SurfacePoint")
+_SectionPoint = _Lazy("_SectionPoint", f"{__package__}.sections", "SectionPoint")
 
 
 # A token that starts like a negative number is a value, never an option: argparse's
@@ -101,9 +138,9 @@ def _ser(value):
         return format_rational(value)
     if isinstance(value, (QuadraticIrrational, ProjectivePoint)):
         return str(value)
-    if isinstance(value, fricke.SurfacePoint):
+    if isinstance(value, _SurfacePoint):
         return [_ser(c) for c in value.coords]
-    if isinstance(value, sections.SectionPoint):
+    if isinstance(value, _SectionPoint):
         return [_ser(value.x), _ser(value.z)]
     if isinstance(value, (tuple, list)):
         return [_ser(v) for v in value]
@@ -168,19 +205,29 @@ def build_parser() -> argparse.ArgumentParser:
 # to argparse, which alone writes --help, usage and errors.
 
 
+class _Argument:
+    """An argument of a row of COMMANDS as the direct reader reads it: the fields of
+    the action argparse stores for it (tests/test_cli_reader.py compares the two)."""
+
+    __slots__ = ("option_strings", "dest", "type", "choices", "required", "default")
+
+    def __init__(self, option_strings, dest, type=None, choices=None, required=False, default=None):
+        self.option_strings, self.dest, self.type = option_strings, dest, type
+        self.choices, self.required, self.default = choices, required, default
+
+
 @functools.cache
 def _tables() -> dict:
     """Each parser as the direct reader reads it, by subcommand name and under None the
     top parser, whose one positional is the subcommand: (options by string, positionals
-    in argv order, defaults).  Each argument of the rows of COMMANDS becomes the action
-    argparse would store for it (tests/test_cli_reader.py compares the two)."""
+    in argv order, defaults)."""
 
     def table(arguments, defaults: dict) -> tuple:
         options, positionals = {}, []
         for name, keywords in arguments:
             strings = [name] if name.startswith("-") else []
             dest = name.lstrip("-").replace("-", "_")
-            arg = argparse.Action(strings, dest, **{"required": not strings, **keywords})
+            arg = _Argument(strings, dest, **{"required": not strings, **keywords})
             defaults[dest] = arg.default
             if strings:
                 options[name] = arg
@@ -193,8 +240,9 @@ def _tables() -> dict:
     return {None: top, **{name: table(arguments, {}) for name, (_, _, arguments) in rows}}
 
 
-def _read_plain(argv: list[str]) -> argparse.Namespace | None:
-    """build_parser().parse_args(argv) for an argv of plain shape, else None.
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The attributes of build_parser().parse_args(argv) for an argv of plain shape,
+    else None.
 
     Plain: an optional ``--format``, the subcommand, exact long options each given once
     as ``--opt=value`` or ``--opt value``, at most one ``--`` with only (and at least
@@ -243,7 +291,7 @@ def _read_plain(argv: list[str]) -> argparse.Namespace | None:
     # the subcommand's positionals and required options; before it, the subcommand itself
     if taken < len(positionals) or any(a.required and a not in given for a in options.values()):
         return None
-    return argparse.Namespace(**namespace)
+    return SimpleNamespace(**namespace)
 
 
 def _parse_args(argv: list[str]) -> argparse.Namespace:

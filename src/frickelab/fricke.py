@@ -38,6 +38,11 @@ class UndefinedImage(DomainError):
     pass
 
 
+class FactorVanishes(DomainError):
+    """A factor of compose_alternative's denominators is zero: the two points share
+    a coordinate, or one of them is the origin."""
+
+
 def FrickeSurface(sigma: Rat = 0) -> Surface:
     """The Fricke record shifted to x^2 + y^2 + z^2 - 3xyz = sigma."""
     return replace(FRICKE, sigma=sigma)
@@ -310,10 +315,15 @@ def compose_alternative(p: FrickePoint, q: FrickePoint) -> FrickePoint:
     """Factored form of the finite composition, on FRICKE alone (sigma = 0).
 
     Valid when all coordinate differences and all six coordinates are
-    nonzero; agrees with :func:`compose` coordinatewise.
+    nonzero, else FactorVanishes; agrees with :func:`compose` coordinatewise.
     """
     _fricke_only("compose_alternative", p, q)
     (a, b, c), (m, n, k) = p.coords, q.coords
+    if 0 in (a - m, b - n, c - k, a, b, c, m, n, k):
+        raise FactorVanishes(
+            f"compose_alternative needs two points with no coordinate zero or shared:"
+            f" {format_point(p.coords)} and {format_point(q.coords)}"
+        )
     u, v, w = a * n - b * m, a * k - m * c, b * k - c * n
     x = (u * u + v * v) / (3 * a * m * (b - n) * (c - k))
     y = (w * w + u * u) / (3 * b * n * (a - m) * (c - k))

@@ -247,6 +247,6 @@ def test_check_skips_one_double_pair(monkeypatch):
         surfaces.append(a.surface.name)
         return compose(a, b)
 
-    monkeypatch.setattr("frickelab.cli.fricke.compose", counting)
+    monkeypatch.setattr("frickelab.fricke.compose", counting)
     assert replay(argv) == CHANGED[argv][:2]
     assert (surfaces.count("fricke"), surfaces.count("double")) == (18, 17)

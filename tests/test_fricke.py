@@ -31,6 +31,7 @@ from frickelab import (
 from frickelab.exact import DOUBLE, FRICKE, SingularPoint, ZeroArgument
 from frickelab.fricke import (
     BasePointUndefined,
+    FactorVanishes,
     OffSurface,
     SurfacePoint,
     UndefinedImage,
@@ -218,6 +219,17 @@ class TestCompose:
                 continue
             assert compose_alternative(a, b).coords == r.point.coords
             done += 1
+
+    @pytest.mark.parametrize(
+        "p, q",
+        [((1, 1, 2), (1, 2, 5)), ((0, 0, 0), (1, 1, 1)), ((2, 1, 1), (0, 0, 0))],
+        ids=["shared-coordinate", "origin-first", "origin-second"],
+    )
+    def test_alternative_refuses_a_vanishing_factor(self, p, q):
+        # where compose answers Infinite or Undefined, the factored form divides by zero
+        assert not isinstance(compose(P(*p), P(*q)), Finite)
+        with pytest.raises(FactorVanishes, match="no coordinate zero or shared"):
+            compose_alternative(P(*p), P(*q))
 
 
 class TestStar:

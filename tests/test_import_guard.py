@@ -1,10 +1,13 @@
-"""A cold start imports neither ``dataclasses`` nor ``inspect``.
+"""A cold start imports only what its subcommand runs.
 
 The records are plain slotted classes over ``exact.Record``, so no module
 of the package imports ``dataclasses`` (which pulls in ``inspect``, ``ast``,
-``dis`` and ``tokenize``).  The child processes run with ``-S``, so that
-what the machine's ``site`` imports does not count, and with
-``-X importtime``, which names every module a process imports.
+``dis`` and ``tokenize``).  The package exports its names lazily and the CLI
+binds each law module on first use, so a subcommand imports ``exact`` and the
+law modules it runs, and argparse only for help and usage errors.  The child
+processes run with ``-S``, so that what the machine's ``site`` imports does
+not count, and with ``-X importtime``, which names every module a process
+imports.
 """
 import ast
 import subprocess
@@ -52,12 +55,44 @@ def imported(*args: str) -> set:
     }
 
 
+COMPOSE = ("-m", "frickelab.cli", "compose", "2,1,1", "1,2,5")
+CHEBYSHEV = ("-m", "frickelab.cli", "chebyshev", "--r", "5", "--n0", "3")
+TREE = ("-m", "frickelab.cli", "tree", "--depth", "2")
+# a section point that _ser writes: testing it against fricke's point class loads nothing
+SECTION = ("-m", "frickelab.cli", "section-add", "--frame", "1,5,2", "2,29", "29,433")
+HELP = ("-m", "frickelab.cli", "compose", "--help")
+IMPORT = ("-c", "import frickelab")
+LAWS = {"frickelab.fricke", "frickelab.sections", "frickelab.tree", "frickelab.double_fricke"}
+
+
 @pytest.mark.parametrize(
     "args",
-    [("-m", "frickelab.cli", "compose", "2,1,1", "1,2,5"), ("-c", "import frickelab")],
-    ids=["cli-compose", "import"],
+    [COMPOSE, IMPORT, CHEBYSHEV, TREE, HELP],
+    ids=["cli-compose", "import", "cli-chebyshev", "cli-tree", "cli-help"],
 )
 def test_a_cold_start_imports_neither(args):
     modules = imported(*args)
-    assert {"frickelab.exact", "frickelab.tree", "fractions"} <= modules
+    assert "frickelab" in modules
     assert modules.isdisjoint(BARRED), sorted(modules & BARRED)
+
+
+@pytest.mark.parametrize(
+    "args, loaded, unloaded",
+    [
+        (
+            COMPOSE,
+            {"frickelab.exact", "frickelab.fricke"},
+            LAWS - {"frickelab.fricke"} | {"argparse", "random"},
+        ),
+        (CHEBYSHEV, {"frickelab.exact", "frickelab.sections"}, {"frickelab.fricke", "frickelab.tree"}),
+        (TREE, {"frickelab.exact", "frickelab.tree"}, {"frickelab.fricke", "frickelab.sections"}),
+        (SECTION, {"frickelab.sections"}, {"frickelab.fricke", "frickelab.tree"}),
+        (IMPORT, {"frickelab"}, LAWS | {"frickelab.exact"}),
+        (HELP, {"argparse"}, LAWS),
+    ],
+    ids=["cli-compose", "cli-chebyshev", "cli-tree", "cli-section-add", "import", "cli-help"],
+)
+def test_a_cold_start_loads_only_what_it_runs(args, loaded, unloaded):
+    modules = imported(*args)
+    assert loaded <= modules, sorted(loaded - modules)
+    assert modules.isdisjoint(unloaded), sorted(modules & unloaded)

@@ -4,6 +4,7 @@ value, the degenerate cases of a solver, and a pair that ``check`` skips.
 Each test drives one such statement with an input that takes it, and
 checks the answer or the error it gives.
 """
+import random
 from fractions import Fraction
 
 import pytest
@@ -148,5 +149,5 @@ class _Scripted:
 
 
 def test_check_skips_a_pair_drawn_twice(monkeypatch):
-    monkeypatch.setattr(cli.random, "Random", _Scripted)
+    monkeypatch.setattr(random, "Random", _Scripted)
     assert cli._run_check(5, 2) == {"result": "ok", "seed": 5, "pairs-checked": 1}
