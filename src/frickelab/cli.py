@@ -35,32 +35,20 @@ from .exact import (
 
 
 class _Lazy:
-    """A module, or with ``attr`` a class of one, that this process has not used yet,
-    bound under ``alias`` in this module's globals.  Its first use imports the module
-    and binds it, or the class, there in place of this stand-in, so every later use is
-    a plain global lookup: a process loads only what its subcommand runs, and only once.
+    """A module that this process has not used yet, bound under ``alias`` in this
+    module's globals.  Its first attribute read imports the module and binds it there
+    in place of this stand-in, so every later use is a plain global lookup: a process
+    loads only what its subcommand runs, and only once."""
 
-    Reading an attribute loads the module.  An isinstance test against a class loads
-    nothing: before its module is loaded, no value can be of the class."""
+    __slots__ = ("alias", "module")
 
-    __slots__ = ("alias", "module", "attr")
-
-    def __init__(self, alias: str, module: str, attr: str | None = None) -> None:
-        self.alias, self.module, self.attr = alias, module, attr
-
-    def _load(self):
-        __import__(self.module)  # as an import statement does, which -X importtime reports
-        value = sys.modules[self.module]
-        if self.attr is not None:
-            value = getattr(value, self.attr)
-        globals()[self.alias] = value
-        return value
+    def __init__(self, alias: str, module: str) -> None:
+        self.alias, self.module = alias, module
 
     def __getattr__(self, name: str):
-        return getattr(self._load(), name)
-
-    def __instancecheck__(self, value) -> bool:
-        return self.module in sys.modules and isinstance(value, self._load())
+        __import__(self.module)  # as an import statement does, which -X importtime reports
+        module = globals()[self.alias] = sys.modules[self.module]
+        return getattr(module, name)
 
 
 fricke = _Lazy("fricke", f"{__package__}.fricke")
@@ -69,9 +57,6 @@ tree = _Lazy("tree", f"{__package__}.tree")
 df = _Lazy("df", f"{__package__}.double_fricke")
 random = _Lazy("random", "random")  # for check alone
 argparse = _Lazy("argparse", "argparse")  # for --help and usage errors, a type's refusal too
-# the law points that _ser writes
-_SurfacePoint = _Lazy("_SurfacePoint", f"{__package__}.fricke", "SurfacePoint")
-_SectionPoint = _Lazy("_SectionPoint", f"{__package__}.sections", "SectionPoint")
 
 
 # A token that starts like a negative number is a value, never an option: argparse's
@@ -133,15 +118,13 @@ def _positive_int(text: str) -> int:
 
 
 def _ser(value):
-    """Serialize exact values recursively into JSON-friendly forms."""
+    """An exact value in a JSON-friendly form: an int or a Fraction as its "num/den"
+    string, a QuadraticIrrational or a ProjectivePoint as its str, and a tuple or a
+    list of these, a law point's coordinates among them, as a list, element by element."""
     if isinstance(value, (int, Fraction)):
         return format_rational(value)
     if isinstance(value, (QuadraticIrrational, ProjectivePoint)):
         return str(value)
-    if isinstance(value, _SurfacePoint):
-        return [_ser(c) for c in value.coords]
-    if isinstance(value, _SectionPoint):
-        return [_ser(value.x), _ser(value.z)]
     if isinstance(value, (tuple, list)):
         return [_ser(v) for v in value]
     return value
@@ -152,7 +135,7 @@ def _compose_payload(result) -> dict:
         return {"result": "undefined", "reason": result.reason}
     if isinstance(result, fricke.Infinite):
         return {"result": "infinite", "point": str(result.point)}
-    return {"result": _ser(result.point)}
+    return {"result": _ser(result.point.coords)}
 
 
 def _text(value, plain: bool) -> str:
@@ -164,9 +147,10 @@ def _text(value, plain: bool) -> str:
 
 
 def _emit(out, fmt: str) -> None:
-    """Print what a handler returns: text as it is, a law's value as {"result":
-    _ser(value)}, and a payload as JSON or under --format plain its repr, where
-    a lone {"result": x} prints x as print(x) does."""
+    """Print what a handler returns: text (a str) as it is; a payload (a dict) as JSON,
+    or under --format plain its repr, where a lone {"result": x} prints x as print(x)
+    does; and any other value, a law's value that _ser writes, as {"result": _ser(value)}.
+    A law point reaches it as its coordinates, never as the point."""
     if not isinstance(out, (str, dict)):
         out = {"result": _ser(out)}
     if fmt == "plain" and set(out) == {"result"}:
@@ -377,10 +361,11 @@ def _run_check(seed: int, pairs: int) -> dict:
 
 
 # -- one handler per subcommand, with args.surface resolved to its record ----
-# A handler returns what its law returns; compose, star, the tree commands, frobenius
-# and check return their own payload (a dict of str, int, list and str-keyed dicts,
-# as json.dumps and print write them), and tree --format dot its text (a str).
-# ``run`` hands it to ``_emit``, which writes all of stdout.
+# A handler returns what its law returns, a law point as its coordinates (a tuple);
+# compose, star, the tree commands, frobenius and check return their own payload (a
+# dict of str, int, list and str-keyed dicts, as json.dumps and print write them), and
+# tree --format dot its text (a str).  ``run`` hands it to ``_emit``, which writes all
+# of stdout.
 
 
 def _compose(args) -> dict:
@@ -457,20 +442,20 @@ COMMANDS = {  # name: (help, handler, arguments)
                       [("--n", {"type": _positive_int, "default": 1}),
                        ("--depth", {**_INT, "required": True})]),
     "section-add": ("add in the section group",
-                    lambda args: sections.quadric_add(*_section(args, args.p, args.q)),
+                    lambda args: sections.quadric_add(*_section(args, args.p, args.q)).xy,
                     [_SURFACE, _FRAME, ("p", _PAIR), ("q", _PAIR)]),
     "section-double": ("double in the section group",
-                       lambda args: sections.quadric_double(*_section(args, args.p)),
+                       lambda args: sections.quadric_double(*_section(args, args.p)).xy,
                        [_SURFACE, _FRAME, ("p", _PAIR)]),
     "section-inverse": ("inverse in the section group",
-                        lambda args: sections.quadric_inverse(*_section(args, args.p)),
+                        lambda args: sections.quadric_inverse(*_section(args, args.p)).xy,
                         [_SURFACE, _FRAME, ("p", _PAIR)]),
     "dihedral": ("A/TA/C/TC/B/T transform of a section point",
-                 lambda args: sections.dihedral(*_section(args, args.p), args.map),
+                 lambda args: sections.dihedral(*_section(args, args.p), args.map).xy,
                  [_FRAME, ("--map", {"choices": ("A", "TA", "C", "TC", "B", "T"),
                                      "required": True}), ("p", _PAIR)]),
     "ta-power": ("closed-form r-th power of TA or TC",
-                 lambda args: sections.ta_power(*_section(args, args.p), args.r, args.family),
+                 lambda args: sections.ta_power(*_section(args, args.p), args.r, args.family).xy,
                  [_FRAME, _R, ("--family", {"choices": ("TA", "TC"), "default": "TA"}),
                   ("p", _PAIR)]),
     "chebyshev": ("b_r(n0)", lambda args: sections.chebyshev_b(args.r, args.n0),
@@ -482,7 +467,7 @@ COMMANDS = {  # name: (help, handler, arguments)
     "param": ("affine chart (P,Q) -> surface point",
               lambda args: (df.f2_param_affine if args.surface.cross else fricke.param_affine)(
                   args.P, args.Q
-              ),
+              ).coords,
               [_SURFACE, ("P", _RATIONAL), ("Q", _RATIONAL)]),
     "phi": ("plane -> projectivized surface", lambda args: fricke.phi(args.p, args.surface),
             [_SURFACE, ("p", _PLANE)]),

@@ -135,8 +135,9 @@ def format_rational(value: Rat) -> str:
 
 
 def format_point(values: Sequence[Rat]) -> str:
-    """A point for a message, "(a, b, c)", each coordinate by format_rational."""
-    return "(" + ", ".join(map(format_rational, values)) + ")"
+    """A point for a message, "(a, b, c)", each coordinate read as Fraction(v), which
+    reads a float exactly, and written by format_rational."""
+    return "(" + ", ".join(format_rational(Fraction(v)) for v in values) + ")"
 
 
 def _ratio(v: Rat) -> tuple[int, int]:
@@ -507,16 +508,6 @@ def sqrt_exact(q: Rat):
     if r * r == n:
         return Fraction(r, e)
     return make_quadratic(0, Fraction(1, e), n)
-
-
-def is_rational_square(q: Rat) -> bool:
-    q = Fraction(q)
-    if q < 0:
-        return False
-    return (
-        math.isqrt(q.numerator) ** 2 == q.numerator
-        and math.isqrt(q.denominator) ** 2 == q.denominator
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -455,6 +455,17 @@ class TestCheckMismatch:
         assert err.startswith("error: check failed on the fricke surface at the charts (")
         assert "Traceback" not in err
 
+    def test_finite_at_an_operand_message_in_full(self, capsys, monkeypatch):
+        # the failed composition's payload as compose writes it, the point by its coordinates
+        monkeypatch.setattr("frickelab.fricke.compose", lambda p, q: Finite(p))
+        code, _out, err = invoke(capsys, "check", "--seed", "7", "--pairs", "20")
+        assert code == 1
+        assert err == (
+            "error: check failed on the fricke surface at the charts (-9/10, 1) and"
+            ' (-44/5, 18/7): compose gives {"result": ["281/300", "-281/270", "-281/270"]},'
+            " the line-cubic oracle t = -289384746311041/2135218101229525\n"
+        )
+
     def test_swapped_coordinates_exit_1(self, capsys, monkeypatch):
         # the true result with x and y swapped: on the surface, whose equation is
         # symmetric, but off the line through the operands

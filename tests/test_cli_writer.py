@@ -15,12 +15,14 @@ import json
 import subprocess
 import sys
 from contextlib import redirect_stdout
+from fractions import Fraction
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from frickelab import cli, fricke, tree
+from frickelab.exact import ProjectivePoint, QuadraticIrrational
 
 from conftest import child_env, no_digit_limit
 
@@ -196,13 +198,39 @@ def test_samples_cover_every_subcommand():
     assert [argv[0] for argv in SAMPLES] == list(cli.HANDLERS)
 
 
+def _handler_out(fmt: str, argv: list[str]):
+    """What the subcommand's handler returns for the argv under the format."""
+    args = cli.build_parser().parse_args(["--format", fmt, *argv])
+    args.surface = cli.SURFACES[args.surface]
+    return cli.HANDLERS[args.command](args)
+
+
 @pytest.mark.parametrize("fmt", ["json", "dot", "plain"])
 @pytest.mark.parametrize("argv", SAMPLES, ids=[argv[0] for argv in SAMPLES])
 def test_handlers_return_data(fmt, argv):
-    args = cli.build_parser().parse_args(["--format", fmt, *argv])
-    args.surface = cli.SURFACES[args.surface]
-    out = cli.HANDLERS[args.command](args)
+    out = _handler_out(fmt, argv)
     assert isinstance(out, str) == (argv[0] == "tree" and fmt == "dot")
+
+
+def _leaves(value):
+    """The values in a handler's return value that are no tuple, list or dict."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if not isinstance(value, (tuple, list)):
+        yield value
+        return
+    for v in value:
+        yield from _leaves(v)
+
+
+@pytest.mark.parametrize("fmt", ["json", "dot", "plain"])
+@pytest.mark.parametrize("argv", SAMPLES, ids=[argv[0] for argv in SAMPLES])
+def test_handlers_return_a_law_point_as_its_coordinates(fmt, argv):
+    # no SurfacePoint or SectionPoint: only leaves that _ser writes by their exact type,
+    # in tuples and lists that it writes by recursion
+    leaves = list(_leaves(_handler_out(fmt, argv)))
+    exact = (str, int, Fraction, QuadraticIrrational, ProjectivePoint)
+    assert all(isinstance(v, exact) for v in leaves), leaves
 
 
 def _json_data(value) -> bool:

@@ -30,7 +30,6 @@ from frickelab.exact import (
     ProjectivePoint,
     ZeroVector,
     _square_part,
-    is_rational_square,
 )
 from frickelab.sections import SectionFrame, infinity_points
 
@@ -209,8 +208,6 @@ class TestQuadraticIrrational:
         assert sqrt_exact(Fraction(9, 4)) == Fraction(3, 2)
         r = sqrt_exact(Fraction(5, 4))
         assert r * r == Fraction(5, 4)
-        assert is_rational_square(Fraction(49, 64))
-        assert not is_rational_square(41)
 
     def test_sqrt_exact_of_square_skips_factoring(self, monkeypatch):
         def no_factoring(n):

@@ -58,7 +58,7 @@ def imported(*args: str) -> set:
 COMPOSE = ("-m", "frickelab.cli", "compose", "2,1,1", "1,2,5")
 CHEBYSHEV = ("-m", "frickelab.cli", "chebyshev", "--r", "5", "--n0", "3")
 TREE = ("-m", "frickelab.cli", "tree", "--depth", "2")
-# a section point that _ser writes: testing it against fricke's point class loads nothing
+# a section law's result: its handler returns the point's coordinates, which load nothing
 SECTION = ("-m", "frickelab.cli", "section-add", "--frame", "1,5,2", "2,29", "29,433")
 HELP = ("-m", "frickelab.cli", "compose", "--help")
 IMPORT = ("-c", "import frickelab")

@@ -9,15 +9,17 @@ from fractions import Fraction
 
 import pytest
 
-from frickelab import cli
-from frickelab.double_fricke import F2Point, negative_tree, nielsen
+from frickelab import cli, tree
+from frickelab.double_fricke import F2Point, negative_tree, nielsen, square_lift
 from frickelab.exact import (
     AT_INFINITY,
+    DomainError,
+    OffSurface,
     ProjectivePoint,
     QuadraticIrrational,
     ZeroArgument,
     ZeroVector,
-    is_rational_square,
+    line_third_intersection,
     make_quadratic,
     sqrt_exact,
 )
@@ -65,8 +67,22 @@ class TestExact:
         assert root == QuadraticIrrational(0, 1, 2, 2)
         assert str(root) == "(0+1√2)/2"
 
-    def test_negative_is_no_rational_square(self):
-        assert is_rational_square(-1) is False
+    @pytest.mark.parametrize(
+        "call, error",
+        [
+            (tree.canonical, DomainError),
+            (tree.CanonicalTriple, ValueError),
+            (square_lift, OffSurface),
+            (lambda t: line_third_intersection(t, (1, 2, 5), "fricke"), OffSurface),
+        ],
+        ids=["canonical", "CanonicalTriple", "square_lift", "line_third_intersection"],
+    )
+    def test_a_float_coordinate_is_named_in_the_message(self, call, error):
+        # constructors read a float exactly; so does the message that refuses it
+        with pytest.raises(ValueError) as excinfo:
+            call((1.5, 1, 1))
+        assert excinfo.type is error
+        assert "(3/2, 1, 1)" in str(excinfo.value)
 
     def test_vertical_slope_repr(self):
         assert repr(AT_INFINITY) == "AT_INFINITY"
