@@ -19,6 +19,8 @@ from types import SimpleNamespace
 
 from .exact import (
     DEGENERATE_CUBIC,
+    DOUBLE,
+    FRICKE,
     SURFACES,
     DomainError,
     ProjectivePoint,
@@ -337,11 +339,10 @@ def _run_check(seed: int, pairs: int) -> dict:
         # the Fricke charts once per draw; the double charts are their squares
         charts = fricke._chart_coords(p1, q1), fricke._chart_coords(p2, q2)
         squares = [[c**2 for c in chart] for chart in charts]
-        for point, (one, two) in ((fricke.FrickePoint, charts), (df.F2Point, squares)):
-            a, b = point(*one), point(*two)
+        for surface, (one, two) in ((FRICKE, charts), (DOUBLE, squares)):
+            a, b = fricke.SurfacePoint(*one, surface), fricke.SurfacePoint(*two, surface)
             if a.form == b.form:  # (P, Q) and (-P, -Q) give one double-surface point
                 continue
-            surface = a.surface
             res = fricke.compose(a, b)
             oracle = line_third_intersection(a.coords, b.coords, surface.name)
             if isinstance(res, fricke.Finite):

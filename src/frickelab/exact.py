@@ -9,16 +9,16 @@ interpreter's digit limit of ``str`` and ``int`` by one path,
 """
 from __future__ import annotations
 
+import _thread
 import math
 import re
 import sys
-import threading
+from collections.abc import Sequence
 from contextlib import contextmanager
 from fractions import Fraction
 from operator import attrgetter
-from typing import Sequence, Union
 
-Rat = Union[int, Fraction]
+Rat = int | Fraction
 
 
 class DomainError(ValueError):
@@ -57,7 +57,7 @@ _INTEGER = re.compile(r"[+-]?[0-9]+")
 _RATIONAL = re.compile(rf"({_INTEGER.pattern})(?:/([0-9]+))?")
 
 
-_DIGIT_LIMIT_LOCK = threading.Lock()
+_DIGIT_LIMIT_LOCK = _thread.allocate_lock()  # threading.Lock, without importing threading
 
 
 @contextmanager
@@ -525,7 +525,7 @@ class _Vertical:
 
 AT_INFINITY = _Vertical()
 
-Slope = Union[Fraction, _Vertical]
+Slope = Fraction | _Vertical
 
 
 def slope_between(p1: tuple[Rat, Rat], p2: tuple[Rat, Rat]) -> Slope:

@@ -10,7 +10,6 @@ surface (x + y + z)^2 = 9xyz.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Union
 
 from .exact import (
     FRICKE,
@@ -152,7 +151,7 @@ class Undefined(Record):
 (_set_reason,) = _setters(Undefined)
 
 
-ComposeResult = Union[Finite, Infinite, Undefined]
+ComposeResult = Finite | Infinite | Undefined
 
 
 # -- Viete generators ---------------------------------------------------------

@@ -7,13 +7,19 @@ import pytest
 
 from frickelab import canonical, generate, negative_tree
 from frickelab.cli import HANDLERS, build_parser, run
-from frickelab.exact import DEGENERATE_CUBIC, ProjectivePoint, format_rational, parse_rational
+from frickelab.exact import (
+    DEGENERATE_CUBIC,
+    DOUBLE,
+    FRICKE,
+    ProjectivePoint,
+    format_rational,
+    parse_rational,
+)
 from frickelab.sections import MAX_LUCAS_BITS, chebyshev_b
 from frickelab.tree import MAX_TREE_BITS
-from frickelab.double_fricke import F2Point, f2_param_affine
+from frickelab.double_fricke import f2_param_affine
 from frickelab.fricke import (
     Finite,
-    FrickePoint,
     Infinite,
     Undefined,
     compose,
@@ -415,8 +421,8 @@ class TestCheckCoincidentSquares:
 
 class TestCheckCharts:
     def test_each_draw_composes_its_chart_points_on_both_surfaces(self, capsys, monkeypatch):
-        # one Fricke chart pair per draw, and on the double surface its squares,
-        # as FrickePoint and F2Point, the classes the charts return
+        # one Fricke chart pair per draw, and on the double surface its squares:
+        # points of the FRICKE and DOUBLE records at the charts' coordinates
         calls = []
 
         def recording(p, q):
@@ -429,9 +435,10 @@ class TestCheckCharts:
         assert len(calls) == 40
         for fricke_pair, double_pair in zip(calls[::2], calls[1::2]):
             for p, square in zip(fricke_pair, double_pair):
-                assert type(p) is FrickePoint and type(square) is F2Point
+                assert p.surface is FRICKE and square.surface is DOUBLE
                 P, Q = param_affine_inverse(p)
-                assert p == param_affine(P, Q) and square == f2_param_affine(P, Q)
+                assert p.coords == param_affine(P, Q).coords
+                assert square.coords == f2_param_affine(P, Q).coords
 
 
 class TestCheckMismatch:

@@ -2,14 +2,16 @@
 
 The records are plain slotted classes over ``exact.Record``, so no module
 of the package imports ``dataclasses`` (which pulls in ``inspect``, ``ast``,
-``dis`` and ``tokenize``).  The package exports its names lazily and the CLI
-binds each law module on first use, so a subcommand imports ``exact`` and the
-law modules it runs, and argparse only for help and usage errors.  The child
-processes run with ``-S``, so that what the machine's ``site`` imports does
-not count, and with ``-X importtime``, which names every module a process
-imports.
+``dis`` and ``tokenize``), nor ``typing`` or ``threading``, which no code
+path uses once the import is done.  The package exports its names lazily
+and the CLI binds each law module on first use, so a subcommand imports
+``exact`` and the law modules it runs, ``random`` only for ``check`` and
+argparse only for help and usage errors.  The child processes run with
+``-S``, so that what the machine's ``site`` imports does not count, and with
+``-X importtime``, which names every module a process imports.
 """
 import ast
+import functools
 import subprocess
 import sys
 from pathlib import Path
@@ -19,9 +21,10 @@ import pytest
 import frickelab
 
 from conftest import child_env
+from test_cli_fuzz import PLAIN
 
 SOURCES = sorted(Path(frickelab.__file__).parent.glob("*.py"))
-BARRED = {"dataclasses", "inspect"}
+BARRED = {"dataclasses", "inspect", "typing", "threading"}
 
 
 def test_no_module_imports_dataclasses_or_inspect():
@@ -38,7 +41,8 @@ def test_no_module_imports_dataclasses_or_inspect():
     assert SOURCES and found == []
 
 
-def imported(*args: str) -> set:
+@functools.cache
+def imported(*args: str) -> frozenset:
     """The modules a fresh ``python -S`` child imports, from -X importtime."""
     proc = subprocess.run(
         [sys.executable, "-S", "-X", "importtime", *args],
@@ -48,51 +52,59 @@ def imported(*args: str) -> set:
         env=child_env(),
     )
     assert proc.returncode == 0, proc.stderr[-500:]
-    return {
+    return frozenset(
         line.rsplit("|", 1)[1].strip()
         for line in proc.stderr.splitlines()
         if line.startswith("import time:")
-    }
+    )
 
 
-COMPOSE = ("-m", "frickelab.cli", "compose", "2,1,1", "1,2,5")
-CHEBYSHEV = ("-m", "frickelab.cli", "chebyshev", "--r", "5", "--n0", "3")
-TREE = ("-m", "frickelab.cli", "tree", "--depth", "2")
-# a section law's result: its handler returns the point's coordinates, which load nothing
-SECTION = ("-m", "frickelab.cli", "section-add", "--frame", "1,5,2", "2,29", "29,433")
-HELP = ("-m", "frickelab.cli", "compose", "--help")
-IMPORT = ("-c", "import frickelab")
-LAWS = {"frickelab.fricke", "frickelab.sections", "frickelab.tree", "frickelab.double_fricke"}
+def cli(command: str, options, positionals) -> tuple:
+    return ("-m", "frickelab.cli", command, *[t for o in options for t in o], *positionals)
 
 
-@pytest.mark.parametrize(
-    "args",
-    [COMPOSE, IMPORT, CHEBYSHEV, TREE, HELP],
-    ids=["cli-compose", "import", "cli-chebyshev", "cli-tree", "cli-help"],
-)
-def test_a_cold_start_imports_neither(args):
-    modules = imported(*args)
+# one child per subcommand, on the valid argv of test_cli_fuzz.PLAIN, with param on
+# the Fricke surface; param on the double surface, PLAIN's argv, is a case of its own
+CASES = {f"cli-{command}": cli(command, options, positionals) for command, options, positionals in PLAIN}
+CASES["cli-param-double"] = CASES["cli-param"]
+CASES["cli-param"] = cli("param", [], ["1", "2"])
+CASES["cli-help"] = ("-m", "frickelab.cli", "compose", "--help")
+CASES["import"] = ("-c", "import frickelab")
+
+EXACT = "frickelab.exact"
+FRICKE = {EXACT, "frickelab.fricke"}
+SECTIONS = {EXACT, "frickelab.sections"}
+TREE = {EXACT, "frickelab.tree"}
+# double_fricke imports fricke, sections and tree at module level for its public
+# f2_*/F2* names, so what loads double_fricke loads every law module
+DOUBLE = FRICKE | SECTIONS | TREE | {"frickelab.double_fricke"}
+LOADS = {
+    **dict.fromkeys(["compose", "star", "param", "phi", "psi", "p2-viete", "p2-compose"], FRICKE),
+    **dict.fromkeys(
+        ["section-add", "section-double", "section-inverse", "dihedral", "ta-power",
+         "chebyshev", "infinity", "convergent"],
+        SECTIONS,
+    ),
+    **dict.fromkeys(["tree", "frobenius"], TREE),
+    "check": FRICKE | {"random"},
+    "negative-tree": DOUBLE,
+    "param-double": DOUBLE,
+    "help": {EXACT, "argparse"},
+    "import": set(),
+}
+
+
+@pytest.mark.parametrize("case", CASES)
+def test_a_cold_start_imports_neither(case):
+    modules = imported(*CASES[case])
     assert "frickelab" in modules
     assert modules.isdisjoint(BARRED), sorted(modules & BARRED)
 
 
-@pytest.mark.parametrize(
-    "args, loaded, unloaded",
-    [
-        (
-            COMPOSE,
-            {"frickelab.exact", "frickelab.fricke"},
-            LAWS - {"frickelab.fricke"} | {"argparse", "random"},
-        ),
-        (CHEBYSHEV, {"frickelab.exact", "frickelab.sections"}, {"frickelab.fricke", "frickelab.tree"}),
-        (TREE, {"frickelab.exact", "frickelab.tree"}, {"frickelab.fricke", "frickelab.sections"}),
-        (SECTION, {"frickelab.sections"}, {"frickelab.fricke", "frickelab.tree"}),
-        (IMPORT, {"frickelab"}, LAWS | {"frickelab.exact"}),
-        (HELP, {"argparse"}, LAWS),
-    ],
-    ids=["cli-compose", "cli-chebyshev", "cli-tree", "cli-section-add", "import", "cli-help"],
-)
-def test_a_cold_start_loads_only_what_it_runs(args, loaded, unloaded):
-    modules = imported(*args)
-    assert loaded <= modules, sorted(loaded - modules)
-    assert modules.isdisjoint(unloaded), sorted(modules & unloaded)
+@pytest.mark.parametrize("case", CASES)
+def test_a_cold_start_loads_only_what_it_runs(case):
+    # the package's modules, and the two modules of the standard library that a
+    # subcommand loads only for itself: argparse for help and random for check
+    modules = imported(*CASES[case])
+    pinned = {m for m in modules if m.startswith("frickelab.") or m in ("argparse", "random")}
+    assert pinned == LOADS[case.removeprefix("cli-")]
