@@ -299,19 +299,23 @@ class CheckFailed(Exception):
 
 
 def _on_line(r, a, b, t: Fraction) -> bool:
-    """Whether the point r is b + t*(a - b), in integers on the stored forms (X, Y, Z)/d:
-    with t = tn/td, X_i*da*db*td == d*(B_i*da*td + tn*(A_i*db - B_i*da)) for each i.
-    Every denominator is positive, so this is exact, and it takes no gcd."""
+    """Whether the point r is b + t*(a - b), in integers on the operands' stored forms
+    (A1, A2, A3)/da and (B1, B2, B3)/db and on r's coordinates X_i/e_i in lowest terms:
+    with t = tn/td, X_i*da*db*td == e_i*(B_i*da*td + tn*(A_i*db - B_i*da)) for each i.
+    Every denominator is positive, so this is exact; it takes no gcd and does not
+    read r's form, which a result of ``compose`` builds only when read."""
     A1, A2, A3, da = a.form
     B1, B2, B3, db = b.form
-    X, Y, Z, d = r.form
+    X, e1 = r.x.as_integer_ratio()
+    Y, e2 = r.y.as_integer_ratio()
+    Z, e3 = r.z.as_integer_ratio()
     tn, td = t.numerator, t.denominator
     dt = da * td
     scale = db * dt
     return (
-        X * scale == d * (B1 * dt + tn * (A1 * db - B1 * da))
-        and Y * scale == d * (B2 * dt + tn * (A2 * db - B2 * da))
-        and Z * scale == d * (B3 * dt + tn * (A3 * db - B3 * da))
+        X * scale == e1 * (B1 * dt + tn * (A1 * db - B1 * da))
+        and Y * scale == e2 * (B2 * dt + tn * (A2 * db - B2 * da))
+        and Z * scale == e3 * (B3 * dt + tn * (A3 * db - B3 * da))
     )
 
 

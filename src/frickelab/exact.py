@@ -195,8 +195,10 @@ class Record:
     point's ``form``, is neither compared nor shown; records of different
     classes are never equal.  Setting or deleting an attribute is an
     AttributeError.  ``copy``, ``deepcopy`` and pickle keep every slot as
-    it is, without validating again; ``replace`` builds a changed record
-    through ``__init__``, which does validate.
+    it is, without validating again; they read each slot by ``getattr``,
+    so a point's ``form`` that is built on first read is filled in then.
+    ``replace`` builds a changed record through ``__init__``, which does
+    validate.
     """
 
     __slots__ = ()

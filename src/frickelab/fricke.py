@@ -54,12 +54,14 @@ class SurfacePoint(Record):
     the lcm d of their denominators, the canonical integer form that the
     validation computes and ``compose`` reads.
 
-    Every public construction is validated by ``Surface._residual``.  Only
-    ``compose``'s finite branch and ``viete`` build points through
-    ``_remaining_root``, which skips that check: their result is the
-    remaining root of a polynomial whose other roots are points on the
-    surface (``tests/test_trusted_construction.py``).  A wrong closed form
-    there is not caught here; the tests and ``check`` catch it.
+    Every public construction is validated by ``Surface._residual``, which
+    builds the form.  Only ``compose``'s finite branch and ``viete`` build
+    points through ``_remaining_root``, which skips that check: their
+    result is the remaining root of a polynomial whose other roots are
+    points on the surface (``tests/test_trusted_construction.py``).  A
+    wrong closed form there is not caught here; the tests and ``check``
+    catch it.  Such a result builds its form on first read, in
+    ``__getattr__``, and keeps it.
     """
 
     __slots__ = ("x", "y", "z", "surface", "form")
@@ -78,19 +80,30 @@ class SurfacePoint(Record):
             raise OffSurface(f"{format_point(self.coords)} is not on the surface")
         _set_form(self, form)
 
+    def __getattr__(self, name: str):
+        # called only when a lookup fails: for "form", on a point that
+        # ``_remaining_root`` built and nothing has read the form of yet
+        if name == "form":
+            form = _over_one_denominator((self.x, self.y, self.z))
+            _set_form(self, form)
+            return form
+        raise AttributeError(
+            f"{type(self).__qualname__!r} object has no attribute {name!r}", name=name, obj=self
+        )
+
     @classmethod
     def _remaining_root(
         cls, x: Fraction, y: Fraction, z: Fraction, surface: Surface
     ) -> "SurfacePoint":
-        """The point of ``cls`` at the Fractions (x, y, z), with its form but
-        without ``_residual``, for the remaining root of a polynomial whose
-        other roots are points on ``surface`` (see ``compose`` and ``viete``)."""
+        """The point of ``cls`` at the Fractions (x, y, z), without
+        ``_residual``, for the remaining root of a polynomial whose other
+        roots are points on ``surface`` (see ``compose`` and ``viete``).  Its
+        ``form`` slot stays empty until the first read fills it."""
         point = object.__new__(cls)
         _set_x(point, x)
         _set_y(point, y)
         _set_z(point, z)
         _set_surface(point, surface)
-        _set_form(point, _over_one_denominator((x, y, z)))
         return point
 
     @property
@@ -269,7 +282,9 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     roots are the operands, points on the surface; it is built by
     ``SurfacePoint._remaining_root`` and not validated again, so a wrong
     closed form would pass here and is caught by those tests and by
-    ``check``, which compares every result with the oracle's line.
+    ``check``, which compares every result's coordinates with the oracle's
+    line.  The result builds its form on first read, so a chain of
+    compositions pays for it only where the next ``compose`` reads it.
     """
     if p.surface != q.surface:
         raise ValueError("operands live on different surfaces")

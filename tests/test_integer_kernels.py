@@ -112,7 +112,8 @@ def test_compose_matches_oracle_on_tall_charts(surface, P1, Q1, P2, Q2):
 def test_check_line_test_agrees_with_line_point(surface, P1, Q1, P2, Q2, order):
     # check's integer test of a result against the oracle's line, on the result, on
     # it with its coordinates permuted (still on the surface, mostly off the line),
-    # and on the operands, at the oracle's parameter and at t = 0 and t = 1
+    # and on the operands, at the oracle's parameter and at t = 0 and t = 1; the
+    # test reads the result's coordinates, so its form is still unbuilt afterwards
     chart = CHARTS[surface.name]
     a, b = chart(P1, Q1), chart(P2, Q2)
     assume(a != b)
@@ -126,6 +127,8 @@ def test_check_line_test_agrees_with_line_point(surface, P1, Q1, P2, Q2, order):
         for point in (r, permuted, a, b):
             assert _on_line(point, a, b, t) == (on_line == point.coords)
     assert _on_line(r, a, b, oracle.t) and _on_line(b, a, b, Fraction(0)) and _on_line(a, a, b, Fraction(1))
+    with pytest.raises(AttributeError):
+        SurfacePoint.form.__get__(r, SurfacePoint)
 
 
 def assert_matches_closed_form(a: SurfacePoint, b: SurfacePoint):

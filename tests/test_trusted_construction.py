@@ -8,13 +8,17 @@ results through ``SurfacePoint._remaining_root``, and the section chord
 builds its second point through ``SectionPoint._second_root``; none runs
 its class's validation.  These tests hold each to its validating constructor,
 and an AST scan keeps their call sites where a law guarantees the skipped
-check.  The chord also builds its point's form by one content gcd over the
-chord's one denominator; every chord's form is held to
-``_over_one_denominator``.
+check.  A result of ``compose`` or ``viete`` builds its form on first read;
+the tests pin that it is unbuilt until then, read, copied or pickled the same
+as a validated point's, and that the laws build no form they do not read.
+The chord also builds its point's form by one content gcd over the chord's
+one denominator; every chord's form is held to ``_over_one_denominator``.
 """
 import ast
+import copy
 import itertools
 import math
+import pickle
 import random
 from contextlib import contextmanager
 from fractions import Fraction
@@ -51,7 +55,7 @@ from frickelab import (
     star,
     viete,
 )
-from frickelab import sections
+from frickelab import fricke, sections
 from frickelab.double_fricke import F2SectionFrame
 from frickelab.exact import OffSurface, SingularPoint, _over_one_denominator, _square_part, _squarefree_split
 from frickelab.sections import DenominatorVanishes, OffSection, SectionFrame, _in_integers, infinity_points
@@ -341,6 +345,121 @@ def test_public_point_construction_still_validates():
         SurfacePoint(1, 1, 1, FrickeSurface(-4))
     with pytest.raises(OffSection):
         SectionPoint(1, 3, SectionFrame(1, 5, 2))
+
+
+# -- trusted points: the form built on first read ----------------------------------
+
+# each builds a fresh result that nothing has read the form of
+UNREAD = {
+    "compose-fricke": lambda: compose(FrickePoint(2, 1, 1), FrickePoint(1, 2, 5)).point,
+    "compose-double": lambda: compose(F2Point(4, 1, 1), F2Point(1, 4, 25)).point,
+    "compose-fricke-sigma-4": lambda: compose(
+        SurfacePoint(1, 2, 3, FrickeSurface(-4)), SurfacePoint(3, 1, 2, FrickeSurface(-4))
+    ).point,
+    "viete-L": lambda: viete(FrickePoint(1, 2, 5), "L"),
+    "viete-R": lambda: viete(FrickePoint(1, 2, 5), "R"),
+    "nielsen-first": lambda: nielsen(F2Point(4, 1, 1), "first"),
+    "nielsen-second": lambda: nielsen(F2Point(4, 1, 1), "second"),
+    "star-pq": lambda: star(FrickePoint(2, 1, 1), FrickePoint(1, 2, 5)).point,
+    "star-qp": lambda: star(FrickePoint(1, 2, 5), FrickePoint(2, 1, 1)).point,
+}
+
+
+def form_unbuilt(p: SurfacePoint) -> bool:
+    try:
+        SurfacePoint.form.__get__(p, SurfacePoint)
+    except AttributeError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("name", UNREAD)
+def test_trusted_form_built_on_first_read(name):
+    r = UNREAD[name]()
+    validated = type(r)(*r.coords, r.surface)
+    assert r == validated and r.surface.contains(r.coords)
+    assert form_unbuilt(r)
+    form = r.form
+    assert not form_unbuilt(r)
+    assert form == _over_one_denominator(r.coords) == validated.form
+    assert r.form is form
+
+
+@pytest.mark.parametrize("name", UNREAD)
+def test_copies_and_pickles_of_an_unread_result_keep_its_form(name):
+    expected = UNREAD[name]()
+    for duplicate in (copy.copy, copy.deepcopy, lambda p: pickle.loads(pickle.dumps(p))):
+        r = UNREAD[name]()
+        other = duplicate(r)
+        assert type(other) is type(r) and other == r == expected and repr(other) == repr(r)
+        assert not form_unbuilt(other) and other.form == r.form == expected.form
+
+
+@pytest.mark.parametrize("name", UNREAD)
+def test_replace_of_an_unread_result_validates(name):
+    r = UNREAD[name]()
+    again = replace(r)
+    assert type(again) is type(r) and again == r and again is not r
+    assert not form_unbuilt(again) and again.form == r.form
+    with pytest.raises(OffSurface):
+        replace(r, z=r.z + 1)
+
+
+@pytest.mark.parametrize("name", UNREAD)
+def test_form_of_a_result_cannot_be_set_or_deleted(name):
+    r = UNREAD[name]()
+    for unread in (True, False):
+        with pytest.raises(AttributeError, match="cannot assign to field 'form'"):
+            r.form = (1, 1, 1, 1)
+        with pytest.raises(AttributeError, match="cannot delete field 'form'"):
+            del r.form
+        assert form_unbuilt(r) == unread
+        assert r.form == _over_one_denominator(r.coords)
+
+
+@pytest.fixture
+def form_builds(monkeypatch):
+    """The calls to ``_over_one_denominator`` made through ``fricke`` from now on."""
+    calls = []
+    build = fricke._over_one_denominator
+
+    def counted(p):
+        calls.append(p)
+        return build(p)
+
+    monkeypatch.setattr(fricke, "_over_one_denominator", counted)
+    return calls
+
+
+@pytest.mark.parametrize(
+    "law, expected",
+    [
+        (lambda p, q: compose(p, q), 0),
+        (lambda p, q: compose(q, p), 0),
+        (star, 1),  # the outer composition reads the inner result's form
+        (lambda p, q: viete(p, "L"), 0),
+        (lambda p, q: viete(q, "R"), 0),
+    ],
+    ids=["compose", "compose-swapped", "star", "viete-L", "viete-R"],
+)
+def test_laws_build_only_the_forms_they_read(form_builds, law, expected):
+    p, q = FrickePoint(2, 1, 1), FrickePoint(1, 2, 5)
+    form_builds.clear()
+    law(p, q)
+    assert len(form_builds) == expected
+
+
+@pytest.mark.parametrize("which", ["validated", "unread"])
+def test_unknown_attributes_behave_as_on_any_object(which):
+    p = FrickePoint(2, 1, 1)
+    if which == "unread":
+        p = compose(p, FrickePoint(1, 2, 5)).point
+    with pytest.raises(AttributeError) as caught:
+        p.nope
+    assert str(caught.value) == "'FrickePoint' object has no attribute 'nope'"
+    assert caught.value.name == "nope" and caught.value.obj is p
+    assert not hasattr(p, "nope") and getattr(p, "nope", 0) == 0
+    assert form_unbuilt(p) == (which == "unread")
 
 
 # -- trusted points: the section chord --------------------------------------------
