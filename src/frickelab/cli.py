@@ -303,7 +303,7 @@ def _on_line(r, a, b, t: Fraction) -> bool:
     (A1, A2, A3)/da and (B1, B2, B3)/db and on r's coordinates X_i/e_i in lowest terms:
     with t = tn/td, X_i*da*db*td == e_i*(B_i*da*td + tn*(A_i*db - B_i*da)) for each i.
     Every denominator is positive, so this is exact; it takes no gcd and does not
-    read r's form, which a result of ``compose`` builds only when read."""
+    read r's form, which a result of ``compose`` builds on each read."""
     A1, A2, A3, da = a.form
     B1, B2, B3, db = b.form
     X, e1 = r.x.as_integer_ratio()

@@ -54,17 +54,16 @@ class SurfacePoint(Record):
     the lcm d of their denominators, the canonical integer form that the
     validation computes and ``compose`` reads.
 
-    Every public construction is validated by ``Surface._residual``, which
-    builds the form.  Only ``compose``'s finite branch and ``viete`` build
-    points through ``_remaining_root``, which skips that check: their
-    result is the remaining root of a polynomial whose other roots are
-    points on the surface (``tests/test_trusted_construction.py``).  A
-    wrong closed form there is not caught here; the tests and ``check``
-    catch it.  Such a result builds its form on first read, in
-    ``__getattr__``, and keeps it.
+    Every public construction is validated by ``Surface._residual`` on the
+    form, which the point keeps.  Only ``compose``'s finite branch and
+    ``viete`` build points through ``_remaining_root``, which skips that
+    check: their result is the remaining root of a polynomial whose other
+    roots are points on the surface (``tests/test_trusted_construction.py``).
+    A wrong closed form there is not caught here; the tests and ``check``
+    catch it.  Such a result keeps no form and builds it on each read.
     """
 
-    __slots__ = ("x", "y", "z", "surface", "form")
+    __slots__ = ("x", "y", "z", "surface", "_form")
     _fields = ("x", "y", "z", "surface")
 
     def __init__(self, x: Rat, y: Rat, z: Rat, surface: Surface) -> None:
@@ -80,31 +79,26 @@ class SurfacePoint(Record):
             raise OffSurface(f"{format_point(self.coords)} is not on the surface")
         _set_form(self, form)
 
-    def __getattr__(self, name: str):
-        # called only when a lookup fails: for "form", on a point that
-        # ``_remaining_root`` built and nothing has read the form of yet
-        if name == "form":
-            form = _over_one_denominator((self.x, self.y, self.z))
-            _set_form(self, form)
-            return form
-        raise AttributeError(
-            f"{type(self).__qualname__!r} object has no attribute {name!r}", name=name, obj=self
-        )
-
     @classmethod
     def _remaining_root(
         cls, x: Fraction, y: Fraction, z: Fraction, surface: Surface
     ) -> "SurfacePoint":
         """The point of ``cls`` at the Fractions (x, y, z), without
         ``_residual``, for the remaining root of a polynomial whose other
-        roots are points on ``surface`` (see ``compose`` and ``viete``).  Its
-        ``form`` slot stays empty until the first read fills it."""
+        roots are points on ``surface`` (see ``compose`` and ``viete``).  It
+        stores no form: ``form`` builds one on each read."""
         point = object.__new__(cls)
         _set_x(point, x)
         _set_y(point, y)
         _set_z(point, z)
         _set_surface(point, surface)
+        _set_form(point, None)
         return point
+
+    @property
+    def form(self) -> tuple[int, int, int, int]:
+        form = self._form
+        return _over_one_denominator((self.x, self.y, self.z)) if form is None else form
 
     @property
     def coords(self) -> tuple[Fraction, Fraction, Fraction]:
@@ -283,15 +277,16 @@ def compose(p: SurfacePoint, q: SurfacePoint) -> ComposeResult:
     ``SurfacePoint._remaining_root`` and not validated again, so a wrong
     closed form would pass here and is caught by those tests and by
     ``check``, which compares every result's coordinates with the oracle's
-    line.  The result builds its form on first read, so a chain of
-    compositions pays for it only where the next ``compose`` reads it.
+    line.  The result stores no form, so a chain of compositions builds one
+    only where the next ``compose`` reads it.
     """
     if p.surface != q.surface:
         raise ValueError("operands live on different surfaces")
-    if p.form == q.form:
+    pf, qf = p.form, q.form
+    if pf == qf:
         return Undefined(UNDEFINED_COINCIDENT)
-    a, b, c, d1 = p.form
-    m, n, k, d2 = q.form
+    a, b, c, d1 = pf
+    m, n, k, d2 = qf
     if not (a or b or c) or not (m or n or k):
         return Undefined(UNDEFINED_ORIGIN)
     s = p.surface

@@ -1,11 +1,12 @@
 """The sixteen records of the package behave as frozen value records.
 
-Each is a plain slotted class over ``exact.Record``.  These tests pin what
-the records did as frozen slotted dataclasses: the repr of each class, a
-hash equal to that of the tuple of its compared fields, eq only within
-one class, no assignment or deletion, copies and pickles that keep the
-type, the value and a point's ``form``, and a ``replace`` that validates
-its result and refuses ``form``.  A ``Surface`` holds sigma as a Fraction
+Each is a plain slotted class over ``exact.Record`` whose slots are all
+set when its constructor returns and never change after that.  These
+tests pin what the records did as frozen slotted dataclasses: the repr of
+each class, a hash equal to that of the tuple of its compared fields, eq
+only within one class, no assignment or deletion, copies and pickles
+that keep the type, the value and a point's ``form``, and a ``replace``
+that validates its result and refuses ``form``.  A ``Surface`` holds sigma as a Fraction
 whatever rational it is given, so ``replace(FRICKE, sigma=...)`` and
 ``FrickeSurface`` agree.
 """

@@ -8,9 +8,11 @@ results through ``SurfacePoint._remaining_root``, and the section chord
 builds its second point through ``SectionPoint._second_root``; none runs
 its class's validation.  These tests hold each to its validating constructor,
 and an AST scan keeps their call sites where a law guarantees the skipped
-check.  A result of ``compose`` or ``viete`` builds its form on first read;
-the tests pin that it is unbuilt until then, read, copied or pickled the same
-as a validated point's, and that the laws build no form they do not read.
+check.  A result of ``compose`` or ``viete`` keeps no form and builds it on
+each read; the tests pin that the form read, copied or pickled is a validated
+point's, that the laws build no form they do not read, that every slot of
+every record is set when its constructor returns and that no read changes
+it, and that no class but ``cli._Lazy`` defines ``__getattr__``.
 The chord also builds its point's form by one content gcd over the chord's
 one denominator; every chord's form is held to ``_over_one_denominator``.
 """
@@ -57,7 +59,7 @@ from frickelab import (
 )
 from frickelab import fricke, sections
 from frickelab.double_fricke import F2SectionFrame
-from frickelab.exact import OffSurface, SingularPoint, _over_one_denominator, _square_part, _squarefree_split
+from frickelab.exact import OffSurface, Record, SingularPoint, _over_one_denominator, _square_part, _squarefree_split
 from frickelab.sections import DenominatorVanishes, OffSection, SectionFrame, _in_integers, infinity_points
 from frickelab.tree import RootOffSurface, TreeNode
 
@@ -347,9 +349,9 @@ def test_public_point_construction_still_validates():
         SectionPoint(1, 3, SectionFrame(1, 5, 2))
 
 
-# -- trusted points: the form built on first read ----------------------------------
+# -- trusted points: a form built on each read ------------------------------------
 
-# each builds a fresh result that nothing has read the form of
+# each builds a fresh result of a law, which stores no form
 UNREAD = {
     "compose-fricke": lambda: compose(FrickePoint(2, 1, 1), FrickePoint(1, 2, 5)).point,
     "compose-double": lambda: compose(F2Point(4, 1, 1), F2Point(1, 4, 25)).point,
@@ -365,24 +367,24 @@ UNREAD = {
 }
 
 
-def form_unbuilt(p: SurfacePoint) -> bool:
-    try:
-        SurfacePoint.form.__get__(p, SurfacePoint)
-    except AttributeError:
-        return True
-    return False
+def state(record) -> tuple:
+    """Every slot of the record, read by ``object.__getattribute__``, which
+    raises on an empty slot and never falls back to ``__getattr__``."""
+    return tuple(object.__getattribute__(record, name) for name in type(record)._slots)
 
 
 @pytest.mark.parametrize("name", UNREAD)
 def test_trusted_form_built_on_first_read(name):
+    # the form is built on the first read and on every read after it; reading
+    # it leaves the result as it was built
     r = UNREAD[name]()
     validated = type(r)(*r.coords, r.surface)
     assert r == validated and r.surface.contains(r.coords)
-    assert form_unbuilt(r)
-    form = r.form
-    assert not form_unbuilt(r)
-    assert form == _over_one_denominator(r.coords) == validated.form
-    assert r.form is form
+    built = state(r)
+    assert object.__getattribute__(r, "_form") is None  # a result keeps no form
+    for _ in range(2):
+        assert r.form == _over_one_denominator(r.coords) == validated.form
+        assert state(r) == built
 
 
 @pytest.mark.parametrize("name", UNREAD)
@@ -392,7 +394,7 @@ def test_copies_and_pickles_of_an_unread_result_keep_its_form(name):
         r = UNREAD[name]()
         other = duplicate(r)
         assert type(other) is type(r) and other == r == expected and repr(other) == repr(r)
-        assert not form_unbuilt(other) and other.form == r.form == expected.form
+        assert state(other) == state(r) and other.form == r.form == expected.form
 
 
 @pytest.mark.parametrize("name", UNREAD)
@@ -400,7 +402,7 @@ def test_replace_of_an_unread_result_validates(name):
     r = UNREAD[name]()
     again = replace(r)
     assert type(again) is type(r) and again == r and again is not r
-    assert not form_unbuilt(again) and again.form == r.form
+    assert again.form == r.form == type(r)(*r.coords, r.surface).form
     with pytest.raises(OffSurface):
         replace(r, z=r.z + 1)
 
@@ -408,13 +410,58 @@ def test_replace_of_an_unread_result_validates(name):
 @pytest.mark.parametrize("name", UNREAD)
 def test_form_of_a_result_cannot_be_set_or_deleted(name):
     r = UNREAD[name]()
-    for unread in (True, False):
-        with pytest.raises(AttributeError, match="cannot assign to field 'form'"):
-            r.form = (1, 1, 1, 1)
-        with pytest.raises(AttributeError, match="cannot delete field 'form'"):
-            del r.form
-        assert form_unbuilt(r) == unread
-        assert r.form == _over_one_denominator(r.coords)
+    built = state(r)
+    with pytest.raises(AttributeError, match="cannot assign to field 'form'"):
+        r.form = (1, 1, 1, 1)
+    with pytest.raises(AttributeError, match="cannot delete field 'form'"):
+        del r.form
+    assert state(r) == built
+    assert r.form == _over_one_denominator(r.coords)
+
+
+# every record each public and each trusted constructor returns: a law's result
+# is checked with the records it holds
+FRAME = SectionFrame(1, 5, 2)  # beta^2 - 4 = 221 is no square: its infinity is irrational
+BUILT = {
+    **{f"result-{name}": build for name, build in UNREAD.items()},
+    "compose-finite": lambda: compose(FrickePoint(2, 1, 1), FrickePoint(1, 2, 5)),
+    "compose-infinite": lambda: compose(FrickePoint(1, 1, 1), FrickePoint(1, 2, 5)),
+    "compose-undefined": lambda: compose(FrickePoint(2, 1, 1), FrickePoint(2, 1, 1)),
+    "star": lambda: star(FrickePoint(2, 1, 1), FrickePoint(1, 2, 5)),
+    "chord-quadric-add": lambda: quadric_add(FRAME, SectionPoint(2, 29, FRAME), SectionPoint(29, 433, FRAME)),
+    "generate-child": lambda: generate(canonical((1, 1, 1)), depth=2)[-1],
+    "infinity-points-irrational": lambda: infinity_points(FRAME)[0],
+    "validated-point": lambda: SurfacePoint(1, 2, 3, FrickeSurface(-4)),
+    "validated-frame": lambda: F2SectionFrame(1, 4, 25),
+    "validated-section-point": lambda: SectionPoint(2, 29, FRAME),
+}
+
+
+def assert_every_slot_set(record) -> None:
+    """Each slot of the record, and of each record it holds, has a value:
+    ``state`` raises on an empty slot."""
+    assert isinstance(record, Record) and record._slots
+    for value in state(record):
+        if isinstance(value, Record):
+            assert_every_slot_set(value)
+
+
+@pytest.mark.parametrize("name", BUILT)
+def test_every_slot_is_set_when_a_constructor_returns(name):
+    assert_every_slot_set(BUILT[name]())
+
+
+def test_no_class_defines_getattr_but_the_cli_module_stand_in():
+    # a class with __getattr__ loses CPython 3.10's and 3.11's fast attribute
+    # reads on every instance, and lets a record fill a slot on a read
+    found = [
+        (path.name, cls.name)
+        for path in SOURCES
+        for cls in ast.walk(ast.parse(path.read_text(), filename=str(path)))
+        if isinstance(cls, ast.ClassDef)
+        and any(isinstance(f, ast.FunctionDef) and f.name == "__getattr__" for f in ast.walk(cls))
+    ]
+    assert found == [("cli.py", "_Lazy")]
 
 
 @pytest.fixture
@@ -451,15 +498,18 @@ def test_laws_build_only_the_forms_they_read(form_builds, law, expected):
 
 @pytest.mark.parametrize("which", ["validated", "unread"])
 def test_unknown_attributes_behave_as_on_any_object(which):
+    # CPython's own AttributeError: no class of the package but cli's module
+    # stand-in defines __getattr__
     p = FrickePoint(2, 1, 1)
     if which == "unread":
         p = compose(p, FrickePoint(1, 2, 5)).point
+    built = state(p)
     with pytest.raises(AttributeError) as caught:
         p.nope
     assert str(caught.value) == "'FrickePoint' object has no attribute 'nope'"
     assert caught.value.name == "nope" and caught.value.obj is p
     assert not hasattr(p, "nope") and getattr(p, "nope", 0) == 0
-    assert form_unbuilt(p) == (which == "unread")
+    assert state(p) == built
 
 
 # -- trusted points: the section chord --------------------------------------------
